@@ -212,8 +212,7 @@ type CacheStats struct {
 	Size      int     `json:"size"`
 	Cap       int     `json:"cap"`
 	HitRate   float64 `json:"hit_rate"`
-	// Bytes is the estimated resident heap footprint of the cached values
-	// (profiles report float32 vs float64 probability backing through it).
+	// Bytes is the estimated resident heap footprint of the cached values.
 	Bytes int64 `json:"bytes"`
 }
 
@@ -261,10 +260,10 @@ type ShardStats struct {
 	Shard      int `json:"shard"`
 	CorpusSize int `json:"corpus_size"`
 
-	Prepared CacheStats  `json:"prepared_cache"`
-	Profile  *CacheStats `json:"profile_cache,omitempty"`
-	Prune    PruneStats  `json:"prune"`
-	Store    StoreStats  `json:"store"`
+	Prepared CacheStats `json:"prepared_cache"`
+	Profile  CacheStats `json:"profile_cache"`
+	Prune    PruneStats `json:"prune"`
+	Store    StoreStats `json:"store"`
 }
 
 // StatsResponse is the body of GET /v1/stats.
@@ -279,8 +278,11 @@ type StatsResponse struct {
 	Workers int `json:"workers"`
 	// Prepared and Profile are the per-kind derived-state cache counters.
 	Prepared CacheStats `json:"prepared_cache"`
-	// Profile is only present when Profiled is true.
-	Profile *CacheStats `json:"profile_cache,omitempty"`
+	// Profile counts the profile cache, which backs profiled scoring and
+	// the bound pass of pruned queries on exact engines alike. All zero
+	// means the engine keeps no profile cache (an exact engine with
+	// pruning disabled).
+	Profile CacheStats `json:"profile_cache"`
 	// Prune are the filter-and-refine counters of the pruned query paths
 	// (top-k and thresholded link scoring). All-zero on engines with
 	// pruning disabled.

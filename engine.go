@@ -6,16 +6,15 @@ import (
 
 	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/eval"
-	"github.com/stslib/sts/internal/index"
 	"github.com/stslib/sts/internal/linking"
 	"github.com/stslib/sts/internal/store"
 )
 
 // Engine is the long-lived execution layer for serving similarity
 // workloads over a mutating corpus: it binds a scorer to a corpus of
-// trajectories and owns the prepared-trajectory LRU cache, the candidate-
-// pruning index (kept incrementally up to date under Add/Remove/Replace),
-// and the cancellable worker pool every query runs on.
+// trajectories and owns the prepared-trajectory and profile LRU caches,
+// the filter-and-refine top-k path, and the cancellable worker pool every
+// query runs on.
 //
 // Use it instead of the one-shot functions when the corpus outlives a
 // single call — repeated queries reuse cached per-trajectory preparation
@@ -96,10 +95,6 @@ type EngineOptions struct {
 	// CacheSize bounds the prepared-trajectory LRU cache (0 selects the
 	// default of 4096 entries; negative means unbounded).
 	CacheSize int
-	// Index, when set, maintains a spatial-temporal inverted index over
-	// the corpus so TopK scores only candidates that plausibly overlap
-	// the query in space-time. Without it, TopK scans the whole corpus.
-	Index *IndexOptions
 	// Profile, when set, switches measure-backed scoring to the bucketed
 	// S-T profile approximation: each corpus trajectory's sparse profile
 	// is built once (cached in a second LRU with its own hit/miss stats,
@@ -114,11 +109,6 @@ type EngineOptions struct {
 	// path returns identical results; this switch exists for baselines and
 	// debugging).
 	DisablePruning bool
-	// PruneBucketSeconds sets the bound-profile bucket width used by the
-	// filter-and-refine path on exact (non-profiled) engines; 0 selects
-	// the default profile width. Profiled engines derive bounds from their
-	// scoring profiles.
-	PruneBucketSeconds float64
 	// Store configures the columnar corpus store backing the engine; nil
 	// selects an in-memory lossless store. Set Store.Dir for durability
 	// (WAL + snapshot recovery). Call Engine.Close when done with a
@@ -126,7 +116,7 @@ type EngineOptions struct {
 	Store *StoreOptions
 	// Shards partitions the corpus across this many independent engine
 	// shards (0 or 1 keeps the single engine). Each shard owns its own
-	// store (under Store.Dir/shard-NNN when persistent), index, and
+	// store (under Store.Dir/shard-NNN when persistent) and
 	// derived-state caches — CacheSize and Workers are split across
 	// shards — and mutations route to one shard by ID hash, so concurrent
 	// writes stop contending on a global lock. Queries scatter-gather with
@@ -176,11 +166,10 @@ func newShardedEngine(scorer Scorer, opts EngineOptions) (EngineService, error) 
 // engine (per-shard cache split, worker split, and store subdirectory).
 func engineShardOptions(scorer Scorer, opts EngineOptions, shard int) (engine.Options, error) {
 	out := engine.Options{
-		Workers:            opts.Workers,
-		CacheSize:          opts.CacheSize,
-		Profile:            opts.Profile,
-		DisablePruning:     opts.DisablePruning,
-		PruneBucketSeconds: opts.PruneBucketSeconds,
+		Workers:        opts.Workers,
+		CacheSize:      opts.CacheSize,
+		Profile:        opts.Profile,
+		DisablePruning: opts.DisablePruning,
 	}
 	if shard >= 0 {
 		out.Workers = engine.SplitWorkers(opts.Workers, opts.FanOut)
@@ -192,13 +181,6 @@ func engineShardOptions(scorer Scorer, opts EngineOptions, shard int) (engine.Op
 			cache = (cache + opts.Shards - 1) / opts.Shards
 		}
 		out.CacheSize = cache
-	}
-	if opts.Index != nil {
-		ix, err := index.New(*opts.Index)
-		if err != nil {
-			return engine.Options{}, err
-		}
-		out.Pruner = ix
 	}
 	if opts.Store != nil {
 		stOpts := store.Options{

@@ -3,9 +3,10 @@
 // system to its counterpart in the other. This composes the engine layer
 // with three parts of the library:
 //
-//   - the engine owns the corpus: the spatial-temporal index prunes
-//     candidate pairs incrementally as trajectories are added, and
-//     per-trajectory preparation is cached across queries;
+//   - the engine owns the corpus: top-k runs filter-and-refine, pruning
+//     only candidates whose admissible upper bound cannot reach the
+//     running best, and per-trajectory preparation is cached across
+//     queries;
 //   - the FTL-style velocity feasibility test vetoes physically
 //     impossible links;
 //   - STS scores the survivors and a greedy one-to-one assignment links
@@ -45,17 +46,9 @@ func main() {
 	}
 	scorer := sts.NewScorer("STS", measure)
 
-	// One engine owns the second system's corpus: the index postings are
-	// maintained incrementally by Add, and every query below reuses the
-	// cached per-trajectory preparation.
-	eng, err := sts.NewEngine(scorer, sts.EngineOptions{
-		Index: &sts.IndexOptions{
-			Grid:         grid,
-			TimeBucket:   120,
-			SpatialSlack: 400,
-			TimeSlack:    120,
-		},
-	})
+	// One engine owns the second system's corpus, and every query below
+	// reuses the cached per-trajectory preparation.
+	eng, err := sts.NewEngine(scorer, sts.EngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,8 +62,8 @@ func main() {
 		}
 	}
 
-	// Per-query top-1 through the engine: the index prunes, the cache
-	// reuses preparation across the fleet of queries.
+	// Per-query top-1 through the engine: the admissible bounds prune, the
+	// cache reuses preparation across the fleet of queries.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	top1 := 0

@@ -1,66 +1,13 @@
 package sts_test
 
 import (
-	"math"
 	"testing"
 
 	"github.com/stslib/sts/internal/eval"
 	"github.com/stslib/sts/internal/experiments"
-	"github.com/stslib/sts/internal/index"
 	"github.com/stslib/sts/internal/linking"
 	"github.com/stslib/sts/internal/model"
 )
-
-// cheapScorer is a fast stand-in similarity for harness benches whose
-// subject is the surrounding machinery, not the measure.
-var cheapScorer = eval.FuncScorer{N: "cheap", F: func(a, b model.Trajectory) (float64, error) {
-	lo := math.Max(a.Start(), b.Start())
-	hi := math.Min(a.End(), b.End())
-	if lo >= hi {
-		return 0, nil
-	}
-	pa, _ := a.InterpolateAt((lo + hi) / 2)
-	pb, _ := b.InterpolateAt((lo + hi) / 2)
-	return 1 / (1 + pa.Dist(pb)), nil
-}}
-
-// BenchmarkIndexTopK compares a pruned top-k query against exhaustive
-// scoring over the taxi corpus, reporting the surviving candidate
-// fraction.
-func BenchmarkIndexTopK(b *testing.B) {
-	_, taxi := benchScenarios(b)
-	grid, err := taxi.Grid(taxi.GridSize, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := index.Build(taxi.D2, index.Options{
-		Grid:         grid,
-		TimeBucket:   120,
-		SpatialSlack: 400,
-		TimeSlack:    120,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	query := taxi.D1[0]
-	b.Run("pruned", func(b *testing.B) {
-		var survived int
-		for i := 0; i < b.N; i++ {
-			if _, err := ix.TopK(query, cheapScorer, 5, 1); err != nil {
-				b.Fatal(err)
-			}
-			survived = len(ix.Candidates(query))
-		}
-		b.ReportMetric(float64(survived)/float64(len(taxi.D2)), "candidate-fraction")
-	})
-	b.Run("exhaustive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eval.ScoreMatrix(model.Dataset{query}, taxi.D2, cheapScorer, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkLinking compares the greedy and Hungarian linkers on the taxi
 // split, reporting their linking precision.

@@ -46,31 +46,6 @@ func TestFacadeLinkDatasets(t *testing.T) {
 	}
 }
 
-func TestFacadeIndexTopK(t *testing.T) {
-	base := sts.GenerateTaxi(10, 22)
-	bounds, _ := base.Bounds()
-	g, err := sts.NewGrid(bounds.Expand(140), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := sts.NewIndex(base, sts.IndexOptions{Grid: g, TimeBucket: 120, SpatialSlack: 300, TimeSlack: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sts.NewMeasure(sts.MeasureOptions{Grid: g, NoiseSigma: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The indexed copy of a trajectory must be its own best match.
-	matches, err := ix.TopK(base[3], sts.NewScorer("STS", m), 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) == 0 || matches[0].Index != 3 {
-		t.Errorf("self not retrieved first: %+v", matches)
-	}
-}
-
 func TestFacadeContactEpisodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := corridorWalk("a", 0, 12, 2, rng)

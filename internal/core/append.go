@@ -95,10 +95,10 @@ func (m *Measure) AppendPrepared(old *Prepared, tail []model.Sample) (*Prepared,
 // AppendProfile builds the profile of an extended trajectory from the
 // profile of its prefix: p must be the prepared state of the full
 // trajectory (typically from AppendPrepared) and old the profile of its
-// first old.SampleCount() samples, built with the same bucket width and
-// storage mode. The result is bit-identical to Measure.Profile(p, opts);
-// only the buckets a rebuild could change are recomputed (see the package
-// comment for the exact recompute set).
+// first old.SampleCount() samples, built with the same bucket width. The
+// result is bit-identical to Measure.Profile(p, opts); only the buckets a
+// rebuild could change are recomputed (see the package comment for the
+// exact recompute set).
 func (m *Measure) AppendProfile(old *Profile, p *Prepared, opts ProfileOptions) (*Profile, error) {
 	w, err := opts.bucketWidth()
 	if err != nil {
@@ -107,12 +107,10 @@ func (m *Measure) AppendProfile(old *Profile, p *Prepared, opts ProfileOptions) 
 	if p == nil || p.Tr.Len() == 0 {
 		return nil, errors.New("core: AppendProfile needs a non-empty prepared trajectory")
 	}
-	if old == nil || old.ID != p.Tr.ID || old.BucketSeconds != w ||
-		old.compact != opts.Compact || old.n <= 0 || old.n >= p.Tr.Len() {
-		return nil, errors.New("core: AppendProfile needs the profile of a strict prefix of the prepared trajectory (same ID, bucket width, and storage mode)")
+	if old == nil || old.ID != p.Tr.ID || old.BucketSeconds != w || old.n <= 0 || old.n >= p.Tr.Len() {
+		return nil, errors.New("core: AppendProfile needs the profile of a strict prefix of the prepared trajectory (same ID and bucket width)")
 	}
-	start, end := p.Tr.Start(), p.Tr.End()
-	b0, b1 := bucketIndex(start, w), bucketIndex(end, w)
+	b0, b1 := bucketIndex(p.Tr.Start(), w), bucketIndex(p.Tr.End(), w)
 	if nb := b1 - b0 + 1; nb > maxProfileBuckets {
 		return nil, fmt.Errorf("core: profile of %q would span %d buckets (max %d); widen ProfileOptions.BucketSeconds",
 			p.Tr.ID, nb, maxProfileBuckets)
@@ -122,7 +120,7 @@ func (m *Measure) AppendProfile(old *Profile, p *Prepared, opts ProfileOptions) 
 	// append; whether their values survive too depends on the provider.
 	bTail := bucketIndex(p.Tr.Samples[old.n-1].T, w)
 	stable := providerStable(m.provider)
-	prof := &Profile{ID: p.Tr.ID, BucketSeconds: w, n: p.Tr.Len(), compact: opts.Compact}
+	prof := &Profile{ID: p.Tr.ID, BucketSeconds: w, n: p.Tr.Len()}
 	ws := scratchPool.Get().(*pairScratch)
 	defer scratchPool.Put(ws)
 	si, oi := 0, 0
@@ -161,15 +159,8 @@ func (m *Measure) AppendProfile(old *Profile, p *Prepared, opts ProfileOptions) 
 		if weight > 0 {
 			d = p.obs[first]
 		} else {
-			t := (float64(b) + 0.5) * w
-			if t < start {
-				t = start
-			} else if t > end {
-				t = end
-			}
 			var derr error
-			d, derr = p.distAtWS(&ws.a, t)
-			if derr != nil {
+			if d, derr = p.bucketCenterDist(&ws.a, b, w); derr != nil {
 				return nil, derr
 			}
 		}
@@ -180,84 +171,4 @@ func (m *Measure) AppendProfile(old *Profile, p *Prepared, opts ProfileOptions) 
 		m.buildBoundData(prof, p)
 	}
 	return prof, nil
-}
-
-// copyProfileEntry appends old's i-th entry to prof's backing arrays
-// verbatim. Views are rebuilt by finishProfileViews.
-func copyProfileEntry(prof, old *Profile, i int) {
-	if old.compact {
-		d := old.dists32[i]
-		prof.cells = append(prof.cells, d.Cells...)
-		prof.probs32 = append(prof.probs32, d.Probs...)
-		prof.dists32 = append(prof.dists32, stprob.Dist32{Cells: d.Cells, Probs: d.Probs})
-	} else {
-		d := old.dists[i]
-		prof.cells = append(prof.cells, d.Cells...)
-		prof.probs = append(prof.probs, d.Probs...)
-		prof.dists = append(prof.dists, stprob.Dist{Cells: d.Cells, Probs: d.Probs})
-	}
-	prof.buckets = append(prof.buckets, old.buckets[i])
-	prof.weights = append(prof.weights, old.weights[i])
-}
-
-// appendProfileEntry appends one freshly computed bucket entry, trimming
-// zero-probability cells exactly as Measure.Profile does (in compact mode
-// the zero test runs on the stored float32 value). All-zero distributions
-// append nothing. Views are rebuilt by finishProfileViews.
-func appendProfileEntry(prof *Profile, b int64, weight int32, d stprob.Dist) {
-	off := len(prof.cells)
-	if prof.compact {
-		for k, c := range d.Cells {
-			if pv := float32(d.Probs[k]); pv > 0 {
-				prof.cells = append(prof.cells, c)
-				prof.probs32 = append(prof.probs32, pv)
-			}
-		}
-	} else {
-		for k, c := range d.Cells {
-			if pv := d.Probs[k]; pv > 0 {
-				prof.cells = append(prof.cells, c)
-				prof.probs = append(prof.probs, pv)
-			}
-		}
-	}
-	if len(prof.cells) == off {
-		return
-	}
-	prof.buckets = append(prof.buckets, b)
-	prof.weights = append(prof.weights, weight)
-	if prof.compact {
-		prof.dists32 = append(prof.dists32, stprob.Dist32{
-			Cells: prof.cells[off:len(prof.cells):len(prof.cells)],
-			Probs: prof.probs32[off:len(prof.probs32):len(prof.probs32)],
-		})
-	} else {
-		prof.dists = append(prof.dists, stprob.Dist{
-			Cells: prof.cells[off:len(prof.cells):len(prof.cells)],
-			Probs: prof.probs[off:len(prof.probs):len(prof.probs)],
-		})
-	}
-}
-
-// finishProfileViews rebuilds every entry's distribution view over the
-// final backing arrays, so all entries share one allocation even after the
-// appends above grew the arrays past earlier views.
-func finishProfileViews(prof *Profile) {
-	off := 0
-	for i := range prof.dists {
-		n := len(prof.dists[i].Cells)
-		prof.dists[i] = stprob.Dist{
-			Cells: prof.cells[off : off+n : off+n],
-			Probs: prof.probs[off : off+n : off+n],
-		}
-		off += n
-	}
-	for i := range prof.dists32 {
-		n := len(prof.dists32[i].Cells)
-		prof.dists32[i] = stprob.Dist32{
-			Cells: prof.cells[off : off+n : off+n],
-			Probs: prof.probs32[off : off+n : off+n],
-		}
-		off += n
-	}
 }

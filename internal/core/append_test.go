@@ -64,11 +64,6 @@ func requireProfilesIdentical(t *testing.T, got, want *Profile) {
 			t.Fatalf("dists[%d] (bucket %d) differs", i, want.buckets[i])
 		}
 	}
-	for i := range want.dists32 {
-		if !reflect.DeepEqual(got.dists32[i], want.dists32[i]) {
-			t.Fatalf("dists32[%d] (bucket %d) differs", i, want.buckets[i])
-		}
-	}
 	t.Fatalf("bound metadata differs:\n got %+v\nwant %+v", got, want)
 }
 
@@ -94,8 +89,8 @@ func measuresUnderTest(t *testing.T, seed model.Dataset) map[string]*Measure {
 // TestAppendMatchesRebuild drives randomized append sequences: a
 // trajectory grows chunk by chunk, and after every chunk the incrementally
 // maintained prepared state and profile must be bit-identical to a
-// from-scratch rebuild of the grown trajectory — across provider families,
-// storage modes, and with bound metadata on.
+// from-scratch rebuild of the grown trajectory — across provider families
+// and with bound metadata on.
 func TestAppendMatchesRebuild(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	seedDS := model.Dataset{randTraj(r, "s1", 12), randTraj(r, "s2", 9)}
@@ -110,9 +105,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts := ProfileOptions{Bounds: true, BucketSeconds: 30}
-				copts := ProfileOptions{Bounds: true, BucketSeconds: 30, Compact: true}
 				prof := mustProfile(t, m, cur, opts)
-				cprof := mustProfile(t, m, cur, copts)
 				for cut < len(full.Samples) {
 					k := 1 + r.Intn(3)
 					if cut+k > len(full.Samples) {
@@ -137,11 +130,6 @@ func TestAppendMatchesRebuild(t *testing.T) {
 						t.Fatal(err)
 					}
 					requireProfilesIdentical(t, prof, mustProfile(t, m, grown, opts))
-					cprof, err = m.AppendProfile(cprof, p, copts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireProfilesIdentical(t, cprof, mustProfile(t, m, grown, copts))
 				}
 			}
 		})
@@ -219,9 +207,6 @@ func TestAppendValidation(t *testing.T) {
 	}
 	if _, err := m.AppendProfile(prof, grown, ProfileOptions{BucketSeconds: 60}); err == nil {
 		t.Error("mismatched bucket width accepted")
-	}
-	if _, err := m.AppendProfile(prof, grown, ProfileOptions{BucketSeconds: 30, Compact: true}); err == nil {
-		t.Error("mismatched storage mode accepted")
 	}
 	if got, err := m.AppendProfile(prof, grown, ProfileOptions{BucketSeconds: 30}); err != nil {
 		t.Errorf("valid append rejected: %v", err)

@@ -115,27 +115,6 @@ func distStats(d stprob.Dist, nx int) (box cellBox, maxP, sum float64) {
 	return box, maxP, sum
 }
 
-// distStats32 is distStats over a compact distribution. Max and sum are
-// computed from the widened stored float32 values (each exactly
-// representable in float64), so the profiled bound stays admissible over
-// the values scoring actually reads.
-func distStats32(d stprob.Dist32, nx int) (box cellBox, maxP, sum float64) {
-	box = emptyBox()
-	for k, c := range d.Cells {
-		p := float64(d.Probs[k])
-		if p <= 0 {
-			continue
-		}
-		sum += p
-		if p > maxP {
-			maxP = p
-		}
-		col, row := int32(c%nx), int32(c/nx)
-		box = box.union(cellBox{col, col, row, row})
-	}
-	return box, maxP, sum
-}
-
 // sumObsDists sums a run of observation distributions. A run with a single
 // mass-carrying distribution aliases it (the Prepared cache is immutable);
 // otherwise the result owns its storage.
@@ -206,13 +185,7 @@ func (m *Measure) buildBoundData(prof *Profile, p *Prepared) {
 		prof.sufW[i] = prof.sufW[i+1] + int64(prof.weights[i])
 	}
 	for i := 0; i < ne; i++ {
-		var box cellBox
-		var maxP, sum float64
-		if prof.compact {
-			box, maxP, sum = distStats32(prof.dists32[i], prof.nx)
-		} else {
-			box, maxP, sum = distStats(prof.dists[i], prof.nx)
-		}
+		box, maxP, sum := distStats(prof.dists[i], prof.nx)
 		prof.entryBox[i] = box
 		prof.entryMax[i] = maxP
 		prof.entrySum[i] = sum
@@ -343,9 +316,6 @@ func checkBoundPair(a, b *Profile) error {
 	}
 	if a.BucketSeconds != b.BucketSeconds {
 		return fmt.Errorf("core: profile bucket widths differ (%v vs %v)", a.BucketSeconds, b.BucketSeconds)
-	}
-	if a.compact != b.compact {
-		return errors.New("core: profile storage modes differ (compact vs float64)")
 	}
 	if a.sufW == nil || b.sufW == nil {
 		return errors.New("core: profiles carry no bound data")
@@ -484,11 +454,7 @@ func SimilarityProfiledThreshold(a, b *Profile, theta float64) (float64, bool, e
 				return (total + rem) * boundInflate / float64(n), false, nil
 			}
 			if w := a.weights[i] + b.weights[j]; w > 0 {
-				if a.compact {
-					total += float64(w) * a.dists32[i].Dot(b.dists32[j])
-				} else {
-					total += float64(w) * a.dists[i].Dot(b.dists[j])
-				}
+				total += float64(w) * a.dists[i].Dot(b.dists[j])
 			}
 			i++
 			j++

@@ -247,33 +247,6 @@ func FuzzUpperBoundAdmissible(f *testing.F) {
 		}
 		checkAdmissible(t, m, a, b, pa, pb)
 
-		// The compact storage mode must satisfy the identical bound contract:
-		// rounding each stored probability to float32 may move the profiled
-		// score, but entry stats are recomputed from the stored values, so
-		// boundInflate still absorbs the remaining accumulation slack.
-		copts := opts
-		copts.Compact = true
-		ca, err := m.Profile(a, copts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cb, err := m.Profile(b, copts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAdmissible(t, m, a, b, ca, cb)
-		prof, err := SimilarityProfiled(pa, pb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cprof, err := SimilarityProfiled(ca, cb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := math.Abs(prof - cprof); d > 1e-6*(1+math.Abs(prof)) {
-			t.Fatalf("compact profiled score %v deviates from float64 %v by %g", cprof, prof, d)
-		}
-
 		// Incremental maintenance must be indistinguishable from the
 		// rebuild: regrow a from a random prefix by appending its tail,
 		// require the resulting profile to be bit-identical to pa, and
@@ -302,27 +275,4 @@ func FuzzUpperBoundAdmissible(f *testing.F) {
 			checkAdmissible(t, m, grown, b, pg, pb)
 		}
 	})
-}
-
-// TestCompactModeMismatchRejected pins the storage-mode guard: a compact
-// profile can never be scored or bounded against a float64 one — the merge
-// kernels are mode-specific and silent widening would hide the mismatch.
-func TestCompactModeMismatchRejected(t *testing.T) {
-	g := testGrid(t)
-	m := mustSTS(t, g, 3)
-	tr := walk("a", geo.Point{Y: 100}, 1, 0, 10, 0, 8)
-	p64 := mustProfile(t, m, tr, ProfileOptions{Bounds: true, BucketSeconds: 30})
-	p32 := mustProfile(t, m, tr, ProfileOptions{Bounds: true, BucketSeconds: 30, Compact: true})
-	if !p32.Compact() || p64.Compact() {
-		t.Fatalf("Compact() flags wrong: f64=%v compact=%v", p64.Compact(), p32.Compact())
-	}
-	if _, err := SimilarityProfiled(p64, p32); err == nil {
-		t.Error("mixed storage modes accepted by SimilarityProfiled")
-	}
-	if _, err := UpperBoundProfiled(p64, p32); err == nil {
-		t.Error("mixed storage modes accepted by UpperBoundProfiled")
-	}
-	if _, _, err := SimilarityProfiledThreshold(p64, p32, 0.5); err == nil {
-		t.Error("mixed storage modes accepted by SimilarityProfiledThreshold")
-	}
 }

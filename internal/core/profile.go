@@ -26,16 +26,6 @@ type ProfileOptions struct {
 	// profiled scoring never reads it, and skipping it keeps transient
 	// profile builds cheap. The engine opts in for its cached profiles.
 	Bounds bool
-	// Compact stores the profile's probabilities in float32 instead of
-	// float64, halving the dominant memory cost of a cached profile (the
-	// probability backing array; cells and bound metadata are unaffected).
-	// Scoring still accumulates in float64 — the only loss against the
-	// float64 mode is the one-time rounding of each stored probability, so
-	// compact scores deviate from float64-profiled scores by well under
-	// 1e-6 relative (DESIGN.md §12 documents the budget; the convergence
-	// suites gate it). Profiles of different storage modes cannot be scored
-	// against each other.
-	Compact bool
 }
 
 // DefaultProfileBucketSeconds is the default profile bucket width. It sits
@@ -82,16 +72,11 @@ type Profile struct {
 	n       int     // the trajectory's sample count, Eq. 10's per-side weight
 	buckets []int64 // sorted ascending
 	weights []int32 // own-observation count per bucket
-	// Exactly one storage mode is populated: dists/probs for the float64
-	// default, dists32/probs32 when built with ProfileOptions.Compact.
 	dists   []stprob.Dist
-	dists32 []stprob.Dist32
-	compact bool
 	// cells/probs back every entry's Dist, keeping the profile compact
 	// (two allocations instead of two per bucket).
-	cells   []int
-	probs   []float64
-	probs32 []float32
+	cells []int
+	probs []float64
 
 	// Filter-and-refine bound state (see bound.go). nx decomposes cell
 	// indices into lattice coordinates; b0/b1 is the bucket range of the
@@ -132,13 +117,9 @@ func (p *Profile) NumBuckets() int { return len(p.buckets) }
 
 // EntryAt returns the i-th bucket entry: the bucket index, the number of
 // the trajectory's own observations in it, and the location distribution
-// at its representative time. For a float64 profile the Dist aliases the
-// profile's backing arrays and must not be mutated; for a compact profile
-// the probabilities are widened into fresh storage.
+// at its representative time. The Dist aliases the profile's backing
+// arrays and must not be mutated.
 func (p *Profile) EntryAt(i int) (bucket int64, weight int, d stprob.Dist) {
-	if p.compact {
-		return p.buckets[i], int(p.weights[i]), p.dists32[i].Dist()
-	}
 	return p.buckets[i], int(p.weights[i]), p.dists[i]
 }
 
@@ -146,31 +127,25 @@ func (p *Profile) EntryAt(i int) (bucket int64, weight int, d stprob.Dist) {
 // stores — its dominant memory cost.
 func (p *Profile) MemoryCells() int { return len(p.cells) }
 
-// Compact reports whether the profile stores float32 probabilities.
-func (p *Profile) Compact() bool { return p.compact }
-
 // HasBounds reports whether the profile carries filter-and-refine bound
 // state (built with ProfileOptions.Bounds), which UpperBound and the
 // thresholded scorers require.
 func (p *Profile) HasBounds() bool { return p.sufW != nil }
 
 // MemoryBytes estimates the profile's resident heap footprint: the shared
-// cell/probability backing arrays (the dominant term — float32 storage
-// halves the probability half), the per-entry metadata, and the
-// filter-and-refine bound state when present. Cache observability sums it
-// per cached profile, so the compact mode's footprint claim is measurable
-// from /v1/stats rather than asserted.
+// cell/probability backing arrays (the dominant term), the per-entry
+// metadata, and the filter-and-refine bound state when present. Cache
+// observability sums it per cached profile (/v1/stats "bytes").
 func (p *Profile) MemoryBytes() int {
 	const (
 		intSize  = 8
 		f64Size  = 8
-		f32Size  = 4
 		distSize = 48 // slice header pair (cells, probs)
 		boxSize  = 16
 	)
-	b := len(p.cells)*intSize + len(p.probs)*f64Size + len(p.probs32)*f32Size
+	b := len(p.cells)*intSize + len(p.probs)*f64Size
 	b += len(p.buckets)*8 + len(p.weights)*4
-	b += (len(p.dists) + len(p.dists32)) * distSize
+	b += len(p.dists) * distSize
 	b += len(p.env) * boxSize
 	b += len(p.bndBuckets)*8 + len(p.bndFirst)*4 + len(p.bndCount)*4 + len(p.bndMass)*f64Size
 	b += len(p.bndBox) * boxSize
@@ -212,13 +187,12 @@ func (m *Measure) Profile(p *Prepared, opts ProfileOptions) (*Profile, error) {
 	if p == nil || p.Tr.Len() == 0 {
 		return nil, errors.New("core: Profile needs a non-empty prepared trajectory")
 	}
-	start, end := p.Tr.Start(), p.Tr.End()
-	b0, b1 := bucketIndex(start, w), bucketIndex(end, w)
+	b0, b1 := bucketIndex(p.Tr.Start(), w), bucketIndex(p.Tr.End(), w)
 	if nb := b1 - b0 + 1; nb > maxProfileBuckets {
 		return nil, fmt.Errorf("core: profile of %q would span %d buckets (max %d); widen ProfileOptions.BucketSeconds",
 			p.Tr.ID, nb, maxProfileBuckets)
 	}
-	prof := &Profile{ID: p.Tr.ID, BucketSeconds: w, n: p.Tr.Len(), compact: opts.Compact}
+	prof := &Profile{ID: p.Tr.ID, BucketSeconds: w, n: p.Tr.Len()}
 	ws := scratchPool.Get().(*pairScratch)
 	defer scratchPool.Put(ws)
 	si := 0 // cursor over the trajectory's samples
@@ -228,7 +202,6 @@ func (m *Measure) Profile(p *Prepared, opts ProfileOptions) (*Profile, error) {
 		// representative time with its exact cached noise distribution.
 		var weight int32
 		var d stprob.Dist
-		var derr error
 		for si < len(p.Tr.Samples) && p.Tr.Samples[si].T < bucketEnd {
 			if weight == 0 {
 				d = p.obs[si]
@@ -237,58 +210,72 @@ func (m *Measure) Profile(p *Prepared, opts ProfileOptions) (*Profile, error) {
 			si++
 		}
 		if weight == 0 {
-			t := (float64(b) + 0.5) * w
-			if t < start {
-				t = start
-			} else if t > end {
-				t = end
-			}
-			d, derr = p.distAtWS(&ws.a, t)
-			if derr != nil {
+			var derr error
+			if d, derr = p.bucketCenterDist(&ws.a, b, w); derr != nil {
 				return nil, derr
 			}
 		}
-		// Copy the distribution, trimming explicit zero-probability cells:
-		// they contribute nothing to any dot product but would be paid for
-		// in memory and merge work on every pair evaluation. In compact mode
-		// the zero test runs on the *stored* float32 value, so deep-tail
-		// probabilities that round to zero are trimmed too and every stored
-		// probability stays strictly positive.
-		off := len(prof.cells)
-		if opts.Compact {
-			for k, c := range d.Cells {
-				if pv := float32(d.Probs[k]); pv > 0 {
-					prof.cells = append(prof.cells, c)
-					prof.probs32 = append(prof.probs32, pv)
-				}
-			}
-		} else {
-			for k, c := range d.Cells {
-				if pv := d.Probs[k]; pv > 0 {
-					prof.cells = append(prof.cells, c)
-					prof.probs = append(prof.probs, pv)
-				}
-			}
-		}
-		if len(prof.cells) == off {
-			continue // distribution is all-zero mass
-		}
-		prof.buckets = append(prof.buckets, b)
-		prof.weights = append(prof.weights, weight)
-		if opts.Compact {
-			prof.dists32 = append(prof.dists32, stprob.Dist32{
-				Cells: prof.cells[off:len(prof.cells):len(prof.cells)],
-				Probs: prof.probs32[off:len(prof.probs32):len(prof.probs32)],
-			})
-		} else {
-			prof.dists = append(prof.dists, stprob.Dist{
-				Cells: prof.cells[off:len(prof.cells):len(prof.cells)],
-				Probs: prof.probs[off:len(prof.probs):len(prof.probs)],
-			})
+		appendProfileEntry(prof, b, weight, d)
+	}
+	finishProfileViews(prof)
+	if opts.Bounds {
+		m.buildBoundData(prof, p)
+	}
+	return prof, nil
+}
+
+// bucketCenterDist is the distribution of an empty bucket b: one Markov
+// interpolation at the bucket's center, clamped to the active span.
+func (p *Prepared) bucketCenterDist(ws *stprob.Workspace, b int64, w float64) (stprob.Dist, error) {
+	t := (float64(b) + 0.5) * w
+	if start := p.Tr.Start(); t < start {
+		t = start
+	} else if end := p.Tr.End(); t > end {
+		t = end
+	}
+	return p.distAtWS(ws, t)
+}
+
+// appendProfileEntry appends one freshly computed bucket entry, copying the
+// distribution without its explicit zero-probability cells: they contribute
+// nothing to any dot product but would be paid for in memory and merge work
+// on every pair evaluation. All-zero distributions append nothing. Profile,
+// AppendProfile and TrimProfile all build entries here, which keeps the
+// three bit-identical. Views are rebuilt by finishProfileViews.
+func appendProfileEntry(prof *Profile, b int64, weight int32, d stprob.Dist) {
+	off := len(prof.cells)
+	for k, c := range d.Cells {
+		if pv := d.Probs[k]; pv > 0 {
+			prof.cells = append(prof.cells, c)
+			prof.probs = append(prof.probs, pv)
 		}
 	}
-	// Appends may have grown the backing arrays past earlier views; rebuild
-	// the views over the final arrays so all entries share one allocation.
+	if len(prof.cells) == off {
+		return
+	}
+	prof.buckets = append(prof.buckets, b)
+	prof.weights = append(prof.weights, weight)
+	prof.dists = append(prof.dists, stprob.Dist{
+		Cells: prof.cells[off:len(prof.cells):len(prof.cells)],
+		Probs: prof.probs[off:len(prof.probs):len(prof.probs)],
+	})
+}
+
+// copyProfileEntry appends old's i-th entry to prof's backing arrays
+// verbatim. Views are rebuilt by finishProfileViews.
+func copyProfileEntry(prof, old *Profile, i int) {
+	d := old.dists[i]
+	prof.cells = append(prof.cells, d.Cells...)
+	prof.probs = append(prof.probs, d.Probs...)
+	prof.dists = append(prof.dists, d)
+	prof.buckets = append(prof.buckets, old.buckets[i])
+	prof.weights = append(prof.weights, old.weights[i])
+}
+
+// finishProfileViews rebuilds every entry's distribution view over the
+// final backing arrays, so all entries share one allocation even after the
+// appends above grew the arrays past earlier views.
+func finishProfileViews(prof *Profile) {
 	off := 0
 	for i := range prof.dists {
 		n := len(prof.dists[i].Cells)
@@ -298,18 +285,6 @@ func (m *Measure) Profile(p *Prepared, opts ProfileOptions) (*Profile, error) {
 		}
 		off += n
 	}
-	for i := range prof.dists32 {
-		n := len(prof.dists32[i].Cells)
-		prof.dists32[i] = stprob.Dist32{
-			Cells: prof.cells[off : off+n : off+n],
-			Probs: prof.probs32[off : off+n : off+n],
-		}
-		off += n
-	}
-	if opts.Bounds {
-		m.buildBoundData(prof, p)
-	}
-	return prof, nil
 }
 
 // SimilarityProfiled returns the bucketed approximation of STS(Tra, Tra′)
@@ -332,18 +307,10 @@ func SimilarityProfiled(a, b *Profile) (float64, error) {
 	if a.BucketSeconds != b.BucketSeconds {
 		return 0, fmt.Errorf("core: profile bucket widths differ (%v vs %v)", a.BucketSeconds, b.BucketSeconds)
 	}
-	if a.compact != b.compact {
-		return 0, errors.New("core: profile storage modes differ (compact vs float64)")
-	}
 	n := a.n + b.n
 	if n == 0 {
 		return 0, errors.New("core: both trajectories are empty")
 	}
-	var total float64
-	if a.compact {
-		total = mergeDots32(a.buckets, b.buckets, a.weights, b.weights, a.dists32, b.dists32)
-	} else {
-		total = mergeDots(a.buckets, b.buckets, a.weights, b.weights, a.dists, b.dists)
-	}
+	total := mergeDots(a.buckets, b.buckets, a.weights, b.weights, a.dists, b.dists)
 	return total / float64(n), nil
 }

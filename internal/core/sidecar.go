@@ -24,10 +24,12 @@ import (
 // warm load treats as a skippable (cold) entry.
 const profileCodecVersion = 1
 
+// Payload flag bits. Bit 0 marked float32 (compact) profiles, a storage
+// mode since retired; the decoder rejects it like any other unknown bit.
 const (
-	pcFlagCompact   = 1 << 0
 	pcFlagBounds    = 1 << 1
 	pcFlagUnbounded = 1 << 2
+	pcKnownFlags    = pcFlagBounds | pcFlagUnbounded
 )
 
 // maxProfileIDBytes bounds the encoded ID length a decoder will accept.
@@ -42,13 +44,10 @@ func EncodeProfile(p *Profile) []byte {
 	}
 	// Rough capacity: cells dominate; one uvarint cell + one probability
 	// per stored pair, plus headroom for metadata.
-	est := 64 + len(p.ID) + 5*len(p.cells) + 8*len(p.probs) + 4*len(p.probs32) + 16*len(p.buckets)
+	est := 64 + len(p.ID) + 5*len(p.cells) + 8*len(p.probs) + 16*len(p.buckets)
 	buf := make([]byte, 0, est)
 	buf = append(buf, profileCodecVersion)
 	var flags byte
-	if p.compact {
-		flags |= pcFlagCompact
-	}
 	if p.HasBounds() {
 		flags |= pcFlagBounds
 	}
@@ -69,27 +68,15 @@ func EncodeProfile(p *Profile) []byte {
 	}
 	// Per-entry view lengths, then the shared backing arrays: the decoder
 	// re-slices the views exactly as finishProfileViews does.
-	if p.compact {
-		for _, d := range p.dists32 {
-			buf = binary.AppendUvarint(buf, uint64(len(d.Cells)))
-		}
-	} else {
-		for _, d := range p.dists {
-			buf = binary.AppendUvarint(buf, uint64(len(d.Cells)))
-		}
+	for _, d := range p.dists {
+		buf = binary.AppendUvarint(buf, uint64(len(d.Cells)))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(p.cells)))
 	for _, c := range p.cells {
 		buf = binary.AppendUvarint(buf, uint64(c))
 	}
-	if p.compact {
-		for _, v := range p.probs32 {
-			buf = pcAppendF32(buf, v)
-		}
-	} else {
-		for _, v := range p.probs {
-			buf = pcAppendF64(buf, v)
-		}
+	for _, v := range p.probs {
+		buf = pcAppendF64(buf, v)
 	}
 	if !p.HasBounds() {
 		return buf
@@ -147,7 +134,9 @@ func DecodeProfile(blob []byte) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	compact := flags&pcFlagCompact != 0
+	if flags&^pcKnownFlags != 0 {
+		return nil, fmt.Errorf("core: profile flags %#x carry unknown bits", flags)
+	}
 	hasBounds := flags&pcFlagBounds != 0
 	idLen, err := r.uvarint()
 	if err != nil {
@@ -160,7 +149,7 @@ func DecodeProfile(blob []byte) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Profile{ID: string(idBytes), compact: compact}
+	p := &Profile{ID: string(idBytes)}
 	if p.BucketSeconds, err = r.f64(); err != nil {
 		return nil, err
 	}
@@ -227,42 +216,22 @@ func DecodeProfile(blob []byte) (*Profile, error) {
 	if p.cells, err = r.cells(nc); err != nil {
 		return nil, err
 	}
-	if compact {
-		if err := r.need(4 * nc); err != nil {
+	if err := r.need(8 * nc); err != nil {
+		return nil, err
+	}
+	if nc > 0 {
+		p.probs = make([]float64, nc)
+	}
+	for i := range p.probs {
+		if p.probs[i], err = r.f64(); err != nil {
 			return nil, err
 		}
-		if nc > 0 {
-			p.probs32 = make([]float32, nc)
-		}
-		for i := range p.probs32 {
-			if p.probs32[i], err = r.f32(); err != nil {
-				return nil, err
-			}
-		}
-		if ne > 0 {
-			p.dists32 = make([]stprob.Dist32, ne)
-		}
-		for i, l := range lens {
-			p.dists32[i] = stprob.Dist32{Cells: make([]int, l), Probs: make([]float32, l)}
-		}
-	} else {
-		if err := r.need(8 * nc); err != nil {
-			return nil, err
-		}
-		if nc > 0 {
-			p.probs = make([]float64, nc)
-		}
-		for i := range p.probs {
-			if p.probs[i], err = r.f64(); err != nil {
-				return nil, err
-			}
-		}
-		if ne > 0 {
-			p.dists = make([]stprob.Dist, ne)
-		}
-		for i, l := range lens {
-			p.dists[i] = stprob.Dist{Cells: make([]int, l), Probs: make([]float64, l)}
-		}
+	}
+	if ne > 0 {
+		p.dists = make([]stprob.Dist, ne)
+	}
+	for i, l := range lens {
+		p.dists[i] = stprob.Dist{Cells: make([]int, l), Probs: make([]float64, l)}
 	}
 	finishProfileViews(p)
 	if !hasBounds {
@@ -396,10 +365,6 @@ func pcAppendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
-func pcAppendF32(b []byte, v float32) []byte {
-	return binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
-}
-
 func pcAppendBox(b []byte, bx cellBox) []byte {
 	b = binary.AppendVarint(b, int64(bx.c0))
 	b = binary.AppendVarint(b, int64(bx.c1))
@@ -483,15 +448,6 @@ func (r *pcReader) f64() (float64, error) {
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.pos:]))
 	r.pos += 8
-	return v, nil
-}
-
-func (r *pcReader) f32() (float32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
-	}
-	v := math.Float32frombits(binary.LittleEndian.Uint32(r.b[r.pos:]))
-	r.pos += 4
 	return v, nil
 }
 

@@ -78,9 +78,9 @@ func (m *Measure) TrimPrepared(old *Prepared, drop int) (*Prepared, error) {
 // profile of the original: p must be the prepared state of the trimmed
 // trajectory (typically from TrimPrepared) and old the profile of a strict
 // supersequence ending in exactly p's samples, built with the same bucket
-// width and storage mode. The result is bit-identical to
-// Measure.Profile(p, opts); only the buckets a rebuild could change are
-// recomputed (see the file comment for the exact recompute set).
+// width. The result is bit-identical to Measure.Profile(p, opts); only the
+// buckets a rebuild could change are recomputed (see the file comment for
+// the exact recompute set).
 func (m *Measure) TrimProfile(old *Profile, p *Prepared, opts ProfileOptions) (*Profile, error) {
 	w, err := opts.bucketWidth()
 	if err != nil {
@@ -89,12 +89,10 @@ func (m *Measure) TrimProfile(old *Profile, p *Prepared, opts ProfileOptions) (*
 	if p == nil || p.Tr.Len() == 0 {
 		return nil, errors.New("core: TrimProfile needs a non-empty prepared trajectory")
 	}
-	if old == nil || old.ID != p.Tr.ID || old.BucketSeconds != w ||
-		old.compact != opts.Compact || old.n <= p.Tr.Len() {
-		return nil, errors.New("core: TrimProfile needs the profile of a strict supersequence of the prepared trajectory (same ID, bucket width, and storage mode)")
+	if old == nil || old.ID != p.Tr.ID || old.BucketSeconds != w || old.n <= p.Tr.Len() {
+		return nil, errors.New("core: TrimProfile needs the profile of a strict supersequence of the prepared trajectory (same ID and bucket width)")
 	}
-	start, end := p.Tr.Start(), p.Tr.End()
-	b0, b1 := bucketIndex(start, w), bucketIndex(end, w)
+	b0, b1 := bucketIndex(p.Tr.Start(), w), bucketIndex(p.Tr.End(), w)
 	if nb := b1 - b0 + 1; nb > maxProfileBuckets {
 		return nil, fmt.Errorf("core: profile of %q would span %d buckets (max %d); widen ProfileOptions.BucketSeconds",
 			p.Tr.ID, nb, maxProfileBuckets)
@@ -107,7 +105,7 @@ func (m *Measure) TrimProfile(old *Profile, p *Prepared, opts ProfileOptions) (*
 	// change) — a rebuild reproduces them unchanged unless the transition
 	// model itself moved.
 	stable := providerStable(m.provider)
-	prof := &Profile{ID: p.Tr.ID, BucketSeconds: w, n: p.Tr.Len(), compact: opts.Compact}
+	prof := &Profile{ID: p.Tr.ID, BucketSeconds: w, n: p.Tr.Len()}
 	ws := scratchPool.Get().(*pairScratch)
 	defer scratchPool.Put(ws)
 	si, oi := 0, 0
@@ -146,15 +144,8 @@ func (m *Measure) TrimProfile(old *Profile, p *Prepared, opts ProfileOptions) (*
 		if weight > 0 {
 			d = p.obs[first]
 		} else {
-			t := (float64(b) + 0.5) * w
-			if t < start {
-				t = start
-			} else if t > end {
-				t = end
-			}
 			var derr error
-			d, derr = p.distAtWS(&ws.a, t)
-			if derr != nil {
+			if d, derr = p.bucketCenterDist(&ws.a, b, w); derr != nil {
 				return nil, derr
 			}
 		}

@@ -42,7 +42,7 @@ func regimeTraj(r *rand.Rand, id string, n int, speed, maxGap float64) model.Tra
 // trajectory shrinks from the head cut by cut, and after every cut the
 // incrementally trimmed prepared state and profile must be bit-identical
 // to a from-scratch rebuild of the surviving suffix — across provider
-// families, sampling regimes, storage modes, and with bound metadata on.
+// families and sampling regimes, with bound metadata on.
 // The cut sequence covers cuts that straddle a bucket (old and new head in
 // the same bucket), land exactly on a bucket boundary, and expire
 // everything but the final sample.
@@ -54,7 +54,6 @@ func TestTrimProfileMatchesRebuild(t *testing.T) {
 			for _, reg := range trimRegimes {
 				t.Run(reg.name, func(t *testing.T) {
 					opts := ProfileOptions{Bounds: true, BucketSeconds: reg.bucket}
-					copts := ProfileOptions{Bounds: true, BucketSeconds: reg.bucket, Compact: true}
 					for trial := 0; trial < 6; trial++ {
 						full := regimeTraj(r, "tr", 8+r.Intn(12), reg.speed, reg.maxGap)
 						p, err := m.Prepare(full)
@@ -62,7 +61,6 @@ func TestTrimProfileMatchesRebuild(t *testing.T) {
 							t.Fatal(err)
 						}
 						prof := mustProfile(t, m, full, opts)
-						cprof := mustProfile(t, m, full, copts)
 						cut := 0
 						for cut < len(full.Samples)-1 {
 							k := 1 + r.Intn(3)
@@ -87,11 +85,6 @@ func TestTrimProfileMatchesRebuild(t *testing.T) {
 								t.Fatal(err)
 							}
 							requireProfilesIdentical(t, prof, mustProfile(t, m, kept, opts))
-							cprof, err = m.TrimProfile(cprof, p, copts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							requireProfilesIdentical(t, cprof, mustProfile(t, m, kept, copts))
 						}
 					}
 				})
@@ -207,9 +200,6 @@ func TestTrimValidation(t *testing.T) {
 	if _, err := m.TrimProfile(prof, trimmed, ProfileOptions{BucketSeconds: 60}); err == nil {
 		t.Error("mismatched bucket width accepted")
 	}
-	if _, err := m.TrimProfile(prof, trimmed, ProfileOptions{BucketSeconds: 30, Compact: true}); err == nil {
-		t.Error("mismatched storage mode accepted")
-	}
 	if got, err := m.TrimProfile(prof, trimmed, ProfileOptions{BucketSeconds: 30}); err != nil {
 		t.Errorf("valid trim rejected: %v", err)
 	} else {
@@ -219,7 +209,7 @@ func TestTrimValidation(t *testing.T) {
 
 // TestProfileCodecRoundTrip pins the sidecar payload codec: encoding and
 // decoding a profile reproduces every field bit-identically — across
-// provider families, storage modes, and with bound metadata on and off.
+// provider families and bucket widths, with bound metadata on and off.
 // (Decoded bound distributions own their storage where the original
 // aliased the Prepared cache; reflect.DeepEqual compares values, which is
 // the contract warm-loaded profiles rely on.)
@@ -232,9 +222,7 @@ func TestProfileCodecRoundTrip(t *testing.T) {
 				tr := randTraj(r, "tr", 4+r.Intn(10))
 				for _, opts := range []ProfileOptions{
 					{BucketSeconds: 30},
-					{BucketSeconds: 30, Compact: true},
 					{BucketSeconds: 30, Bounds: true},
-					{BucketSeconds: 30, Bounds: true, Compact: true},
 					{BucketSeconds: 120, Bounds: true},
 				} {
 					want := mustProfile(t, m, tr, opts)
@@ -296,17 +284,22 @@ func FuzzDecodeProfile(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	var bounded []byte
 	for _, opts := range []ProfileOptions{
 		{BucketSeconds: 30},
 		{BucketSeconds: 30, Bounds: true},
-		{BucketSeconds: 30, Bounds: true, Compact: true},
 	} {
 		prof, err := m.Profile(p, opts)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(EncodeProfile(prof))
+		bounded = EncodeProfile(prof)
+		f.Add(bounded)
 	}
+	// The retired compact flag bit on an otherwise valid payload.
+	retired := append([]byte(nil), bounded...)
+	retired[1] |= 1
+	f.Add(retired)
 	f.Add([]byte{profileCodecVersion, 0})
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		prof, err := DecodeProfile(blob)

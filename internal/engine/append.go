@@ -11,11 +11,11 @@ import (
 
 // Append extends the corpus trajectory id with tail samples, which must be
 // strictly after its current last timestamp. The store logs only the
-// encoded tail (opAppend); pruner postings move incrementally; and when the
-// old generation's prepared state or profile is still cached, the new
-// generation's derived state is rebuilt incrementally (core.AppendPrepared
-// / core.AppendProfile — bit-identical to a from-scratch build) instead of
-// being dropped for the next query to re-derive.
+// encoded tail (opAppend). When the old generation's prepared state or
+// profile is still cached, the new generation's derived state is rebuilt
+// incrementally (core.AppendPrepared / core.AppendProfile — bit-identical
+// to a from-scratch build) instead of being dropped for the next query to
+// re-derive.
 func (e *Engine) Append(id string, tail []model.Sample) (int, error) {
 	if id == "" {
 		return 0, errors.New("engine: corpus trajectories need a non-empty ID")
@@ -30,29 +30,10 @@ func (e *Engine) Append(id string, tail []model.Sample) (int, error) {
 		return 0, fmt.Errorf("engine: trajectory %q %w", id, ErrNotFound)
 	}
 	oldRef := e.slots[slot].ref
-	// The pruner's postings are keyed by sample content, so moving them
-	// needs the old trajectory decoded — before the corpus mutates, like
-	// Remove and Replace.
-	var old, grown model.Trajectory
-	if e.pruner != nil {
-		var err error
-		if old, err = oldRef.Decode(); err != nil {
-			e.mu.Unlock()
-			return 0, fmt.Errorf("engine: %w", err)
-		}
-		samples := make([]model.Sample, len(old.Samples)+len(tail))
-		copy(samples, old.Samples)
-		copy(samples[len(old.Samples):], tail)
-		grown = model.Trajectory{ID: id, Samples: samples}
-	}
 	ref, err := e.corpus.Append(id, tail)
 	if err != nil {
 		e.mu.Unlock()
 		return 0, fmt.Errorf("engine: %w", err)
-	}
-	if e.pruner != nil {
-		e.pruner.Remove(slot, old)
-		e.pruner.Insert(slot, grown)
 	}
 	// Seize the superseded generation's derived state for incremental
 	// maintenance before forgetting it.
@@ -148,7 +129,7 @@ func (e *Engine) TrimBefore(cutoff float64) (TrimStats, error) {
 				e.mu.Unlock()
 				return st, fmt.Errorf("engine: %w", err)
 			}
-			e.dropSlotLocked(slot, tr)
+			e.dropSlotLocked(slot)
 			st.Removed++
 			st.DroppedSamples += n
 			continue
@@ -159,15 +140,10 @@ func (e *Engine) TrimBefore(cutoff float64) (TrimStats, error) {
 		}
 		keep := make([]model.Sample, n-k)
 		copy(keep, tr.Samples[k:])
-		trimmed := model.Trajectory{ID: ref.ID, Samples: keep}
-		newRef, err := e.corpus.Replace(trimmed)
+		newRef, err := e.corpus.Replace(model.Trajectory{ID: ref.ID, Samples: keep})
 		if err != nil {
 			e.mu.Unlock()
 			return st, fmt.Errorf("engine: %w", err)
-		}
-		if e.pruner != nil {
-			e.pruner.Remove(slot, tr)
-			e.pruner.Insert(slot, trimmed)
 		}
 		// Seize the superseded generation's derived state before forgetting
 		// it — the same incremental-maintenance handoff Append does.

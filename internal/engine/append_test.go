@@ -9,7 +9,6 @@ import (
 
 	"github.com/stslib/sts/internal/core"
 	"github.com/stslib/sts/internal/engine"
-	"github.com/stslib/sts/internal/index"
 	"github.com/stslib/sts/internal/model"
 	"github.com/stslib/sts/internal/store"
 )
@@ -28,16 +27,11 @@ func tailOf(tr model.Trajectory, k int) []model.Sample {
 	return out
 }
 
-// appendOpts builds engine options with a fresh pruning index, optionally
-// profiled — every engine in the streaming correctness gate (and the fresh
-// reference engine it is compared against) uses identical options.
-func appendOpts(t *testing.T, profiled bool) engine.Options {
-	t.Helper()
-	ix, err := index.New(index.Options{Grid: testGrid(t), TimeBucket: 60, SpatialSlack: 100, TimeSlack: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := engine.Options{Pruner: ix}
+// appendOpts builds engine options, optionally profiled — every engine in
+// the streaming correctness gate (and the fresh reference engine it is
+// compared against) uses identical options.
+func appendOpts(profiled bool) engine.Options {
+	var o engine.Options
 	if profiled {
 		o.Profile = &core.ProfileOptions{BucketSeconds: 30}
 	}
@@ -45,24 +39,21 @@ func appendOpts(t *testing.T, profiled bool) engine.Options {
 }
 
 // appendEngines builds the three engine flavors the streaming correctness
-// gate covers: exact, profiled, and sharded-profiled, each with its own
-// pruning index.
+// gate covers: exact, profiled, and sharded-profiled.
 func appendEngines(t *testing.T) map[string]engine.Service {
 	t.Helper()
 	scorer := testScorer(t)
-	mk := func() engine.Options { return appendOpts(t, false) }
-	mkProf := func() engine.Options { return appendOpts(t, true) }
-	exact, err := engine.New(scorer, mk())
+	exact, err := engine.New(scorer, appendOpts(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiled, err := engine.New(scorer, mkProf())
+	profiled, err := engine.New(scorer, appendOpts(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded, err := engine.NewSharded(scorer, engine.ShardedOptions{
 		Shards:       3,
-		ShardOptions: func(int) (engine.Options, error) { return mkProf(), nil },
+		ShardOptions: func(int) (engine.Options, error) { return appendOpts(true), nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +106,7 @@ func TestEngineAppendMatchesFreshEngine(t *testing.T) {
 				t.Fatal("append to unknown id accepted")
 			}
 
-			fresh, err := engine.New(svc.Scorer(), appendOpts(t, svc.Profiled()))
+			fresh, err := engine.New(svc.Scorer(), appendOpts(svc.Profiled()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +157,7 @@ func TestEngineAppendMatchesFreshEngine(t *testing.T) {
 }
 
 // TestEngineTrimBefore pins the retention sweep: whole-trajectory removal,
-// head trimming, pruner postings, and stats.
+// head trimming, and stats.
 func TestEngineTrimBefore(t *testing.T) {
 	for name, svc := range appendEngines(t) {
 		t.Run(name, func(t *testing.T) {

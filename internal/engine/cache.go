@@ -73,10 +73,7 @@ type CacheStats struct {
 	Size int
 	Cap  int
 	// Bytes is the estimated resident heap footprint of the completed
-	// cached values (0 when the cache has no size estimator). It makes the
-	// compact profile mode's memory claim observable: a float32-backed
-	// profile cache reports roughly half the probability storage of a
-	// float64-backed one over the same corpus.
+	// cached values (0 when the cache has no size estimator).
 	Bytes int64
 }
 

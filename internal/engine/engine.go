@@ -9,12 +9,12 @@
 //   - the prepared-trajectory lifecycle: a size-bounded LRU cache of
 //     core.Prepared with hit/miss/eviction counters and single-flight
 //     preparation under concurrency;
-//   - corpus mutation (Add/Remove/Replace) with incremental updates to an
-//     optional spatio-temporal pruner (the inverted index);
+//   - corpus mutation (Add/Remove/Replace/Append/TrimBefore) through the
+//     columnar store, with generation-scoped invalidation of derived state;
 //   - the single executor (ForEach) through which all parallel work runs,
 //     with context cancellation and deadline propagation.
 //
-// The eval, linking, and index packages re-express their entry points as
+// The eval and linking packages re-express their entry points as
 // thin views over this package, so a server can hold one Engine per corpus
 // and serve continuous top-k / join queries without re-preparing
 // trajectories per request.
@@ -61,20 +61,6 @@ type ProfileScorer interface {
 	ProfileOptions() *core.ProfileOptions
 }
 
-// Pruner is the candidate-pruning index the engine keeps incrementally
-// up to date under corpus mutation. index.Index implements it; the
-// interface lives here so engine does not import index (index's TopK is a
-// thin view over this package).
-type Pruner interface {
-	// Insert records the trajectory stored in the given corpus slot.
-	Insert(slot int, tr model.Trajectory)
-	// Remove forgets the trajectory previously inserted at slot.
-	Remove(slot int, tr model.Trajectory)
-	// Candidates returns the slots that could plausibly overlap the query
-	// in space-time; slots outside the result are never scored by TopK.
-	Candidates(query model.Trajectory) []int
-}
-
 // DefaultCacheSize bounds the prepared-trajectory LRU when Options.
 // CacheSize is zero.
 const DefaultCacheSize = 4096
@@ -86,9 +72,6 @@ type Options struct {
 	// CacheSize bounds the prepared-trajectory LRU cache (0 selects
 	// DefaultCacheSize; negative means unbounded).
 	CacheSize int
-	// Pruner, when set, prunes TopK candidate sets and is kept up to date
-	// incrementally by Add/Remove/Replace.
-	Pruner Pruner
 	// Profile, when set, switches measure-backed scoring to the bucketed
 	// S-T profile approximation: each trajectory's sparse profile is built
 	// once (cached in a second LRU alongside the prepared state) and pair
@@ -101,12 +84,6 @@ type Options struct {
 	// Benchmarks and equivalence tests use it to pin the exhaustive
 	// baseline; production engines leave it false.
 	DisablePruning bool
-	// PruneBucketSeconds is the bucket width of the bound profiles an
-	// exact (non-profiled) engine derives its admissible upper bounds from
-	// (0 selects core.DefaultProfileBucketSeconds). A profiled engine's
-	// bounds always reuse its scoring profiles. Ignored when pruning is
-	// disabled.
-	PruneBucketSeconds float64
 	// Corpus is the columnar trajectory store backing the engine (nil
 	// selects a fresh lossless in-memory store.New). The engine takes
 	// ownership: a recovered store's content is loaded into the corpus at
@@ -135,18 +112,18 @@ type Engine struct {
 	cache    *lruCache[*core.Prepared]
 	profOpts *core.ProfileOptions // non-nil switches scoring to profiles
 	profiles *lruCache[*core.Profile]
-	pruner   Pruner
 	// boundOpts is the profile width the filter-and-refine path derives its
-	// upper bounds from: the scoring profile options when profiled, a
-	// dedicated width otherwise. profiles is populated whenever pruning or
-	// profiled scoring needs it; noPrune pins every query exhaustive.
+	// upper bounds from: the scoring profile options when profiled,
+	// core.DefaultProfileBucketSeconds otherwise. profiles is populated
+	// whenever pruning or profiled scoring needs it; noPrune pins every
+	// query exhaustive.
 	boundOpts core.ProfileOptions
 	noPrune   bool
 	pstats    pruneCounters
 
 	// corpus is the columnar record store — the single source of truth for
 	// trajectory content. slots/byID only map store records to the dense
-	// slot numbers the pruner's postings are keyed by; they never hold
+	// slot numbers queries snapshot and tie-break by; they never hold
 	// samples. All engine mutations hold e.mu, so corpus and slots always
 	// agree.
 	corpus store.Corpus
@@ -162,7 +139,7 @@ type Engine struct {
 }
 
 // corpusSlot holds one corpus entry's record handle; freed slots are
-// reused by Add so pruner postings stay small. minT caches the record's
+// reused by Add so the slot table stays dense. minT caches the record's
 // first (minimum) timestamp, read from the encoded header without a
 // full decode, so a retention sweep skips unexpired trajectories in
 // O(1) per slot. Append never lowers a record's first timestamp, so
@@ -210,7 +187,6 @@ func New(scorer Scorer, opts Options) (*Engine, error) {
 		scorer:  scorer,
 		workers: workers,
 		cache:   newLRUCache(capacity, (*core.Prepared).MemoryBytes),
-		pruner:  opts.Pruner,
 		corpus:  corpus,
 		byID:    make(map[string]int),
 	}
@@ -226,14 +202,9 @@ func New(scorer Scorer, opts Options) (*Engine, error) {
 	if e.profOpts != nil && e.measure == nil {
 		return nil, errors.New("engine: Options.Profile requires a measure-backed scorer")
 	}
-	if w := opts.PruneBucketSeconds; w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		return nil, fmt.Errorf("engine: Options.PruneBucketSeconds must be non-negative and finite, got %v", w)
-	}
 	e.noPrune = opts.DisablePruning
 	if e.profOpts != nil {
 		e.boundOpts = *e.profOpts
-	} else {
-		e.boundOpts = core.ProfileOptions{BucketSeconds: opts.PruneBucketSeconds}
 	}
 	e.boundOpts.Bounds = true
 	// The profile cache backs both profiled scoring and the bound phase of
@@ -246,14 +217,7 @@ func New(scorer Scorer, opts Options) (*Engine, error) {
 	// ForEach yields refs in sorted-ID order, so slot assignment — and with
 	// it Match.Slot and tie-breaking — is deterministic across restarts.
 	if err := corpus.ForEach(func(ref store.Ref) error {
-		slot := e.takeSlotLocked(ref)
-		if e.pruner != nil {
-			tr, err := ref.Decode()
-			if err != nil {
-				return err
-			}
-			e.pruner.Insert(slot, tr)
-		}
+		e.takeSlotLocked(ref)
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("engine: load corpus: %w", err)
@@ -286,8 +250,7 @@ func (e *Engine) warmFromSidecar() int {
 		if err != nil {
 			continue
 		}
-		if prof.ID != ent.ID || prof.Compact() != e.boundOpts.Compact ||
-			prof.BucketSeconds != w || !prof.HasBounds() {
+		if prof.ID != ent.ID || prof.BucketSeconds != w || !prof.HasBounds() {
 			continue
 		}
 		slot, ok := e.byID[ent.ID]
@@ -363,8 +326,9 @@ func (e *Engine) Workers() int { return e.workers }
 // CacheStats returns the prepared-trajectory cache counters.
 func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
 
-// ProfileCacheStats returns the profile cache counters (all zero when the
-// engine is not profiled).
+// ProfileCacheStats returns the profile cache counters. Profiled scoring
+// and the bound pass of pruned queries both read that cache, so the
+// counters are all zero only on an exact engine with pruning disabled.
 func (e *Engine) ProfileCacheStats() CacheStats {
 	if e.profiles == nil {
 		return CacheStats{}
@@ -415,8 +379,7 @@ func (e *Engine) Subset(ids []string) (model.Dataset, error) {
 // Add inserts a trajectory into the corpus and returns its slot. The
 // trajectory must validate and carry a non-empty ID not already present.
 // The record is encoded into the store (and its WAL when persistent)
-// before any engine state changes; the pruner's postings are updated
-// incrementally — no corpus rebuild.
+// before any engine state changes — no corpus rebuild.
 func (e *Engine) Add(tr model.Trajectory) (int, error) {
 	if tr.ID == "" {
 		return 0, errors.New("engine: corpus trajectories need a non-empty ID")
@@ -433,15 +396,11 @@ func (e *Engine) Add(tr model.Trajectory) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("engine: %w", err)
 	}
-	slot := e.takeSlotLocked(ref)
-	if e.pruner != nil {
-		e.pruner.Insert(slot, tr)
-	}
-	return slot, nil
+	return e.takeSlotLocked(ref), nil
 }
 
 // Remove deletes the trajectory with the given ID from the corpus (and its
-// WAL when persistent), its pruner postings, and the prepared cache.
+// WAL when persistent) and its cached derived state.
 func (e *Engine) Remove(id string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -449,25 +408,16 @@ func (e *Engine) Remove(id string) error {
 	if !ok {
 		return fmt.Errorf("engine: trajectory %q %w", id, ErrNotFound)
 	}
-	// The pruner's postings are keyed by sample content, so removal needs
-	// the trajectory decoded; skip the decode entirely without a pruner.
-	var old model.Trajectory
-	if e.pruner != nil {
-		var err error
-		if old, err = e.slots[slot].ref.Decode(); err != nil {
-			return fmt.Errorf("engine: %w", err)
-		}
-	}
 	if err := e.corpus.Remove(id); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	e.dropSlotLocked(slot, old)
+	e.dropSlotLocked(slot)
 	return nil
 }
 
 // Replace swaps the corpus trajectory with tr.ID for tr, keeping its slot
-// when present and adding it otherwise. Stale cache entries and postings
-// are dropped incrementally.
+// when present and adding it otherwise. Stale cache entries are dropped
+// incrementally.
 func (e *Engine) Replace(tr model.Trajectory) (int, error) {
 	if tr.ID == "" {
 		return 0, errors.New("engine: corpus trajectories need a non-empty ID")
@@ -479,20 +429,9 @@ func (e *Engine) Replace(tr model.Trajectory) (int, error) {
 	defer e.mu.Unlock()
 	if slot, ok := e.byID[tr.ID]; ok {
 		oldRef := e.slots[slot].ref
-		var old model.Trajectory
-		if e.pruner != nil {
-			var err error
-			if old, err = oldRef.Decode(); err != nil {
-				return 0, fmt.Errorf("engine: %w", err)
-			}
-		}
 		ref, err := e.corpus.Replace(tr)
 		if err != nil {
 			return 0, fmt.Errorf("engine: %w", err)
-		}
-		if e.pruner != nil {
-			e.pruner.Remove(slot, old)
-			e.pruner.Insert(slot, tr)
 		}
 		e.forgetDerived(refKey(oldRef))
 		e.slots[slot] = corpusSlot{ref: ref, used: true, minT: slotMinT(ref)}
@@ -502,11 +441,7 @@ func (e *Engine) Replace(tr model.Trajectory) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("engine: %w", err)
 	}
-	slot := e.takeSlotLocked(ref)
-	if e.pruner != nil {
-		e.pruner.Insert(slot, tr)
-	}
-	return slot, nil
+	return e.takeSlotLocked(ref), nil
 }
 
 // takeSlotLocked records ref in a free (or new) slot. Caller holds e.mu.
@@ -525,14 +460,10 @@ func (e *Engine) takeSlotLocked(ref store.Ref) int {
 	return slot
 }
 
-// dropSlotLocked frees a slot and its derived state; old is the decoded
-// trajectory for the pruner (ignored without one). Caller holds e.mu and
+// dropSlotLocked frees a slot and its derived state. Caller holds e.mu and
 // has already removed the record from the corpus.
-func (e *Engine) dropSlotLocked(slot int, old model.Trajectory) {
+func (e *Engine) dropSlotLocked(slot int) {
 	ref := e.slots[slot].ref
-	if e.pruner != nil {
-		e.pruner.Remove(slot, old)
-	}
 	e.forgetDerived(refKey(ref))
 	delete(e.byID, ref.ID)
 	e.slots[slot] = corpusSlot{}
@@ -555,25 +486,15 @@ type candidate struct {
 	ref  store.Ref
 }
 
-// snapshotCandidates snapshots the query's candidate set — the pruner's
-// when one is configured, the whole corpus otherwise — under one read
-// lock, so later corpus mutations do not affect the query.
-func (e *Engine) snapshotCandidates(query model.Trajectory) []candidate {
+// snapshotCandidates snapshots every resident slot under one read lock,
+// so later corpus mutations do not affect the query.
+func (e *Engine) snapshotCandidates() []candidate {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var cands []candidate
-	if e.pruner != nil {
-		for _, slot := range e.pruner.Candidates(query) {
-			if slot >= 0 && slot < len(e.slots) && e.slots[slot].used {
-				cands = append(cands, candidate{slot: slot, ref: e.slots[slot].ref})
-			}
-		}
-	} else {
-		cands = make([]candidate, 0, len(e.byID))
-		for slot, s := range e.slots {
-			if s.used {
-				cands = append(cands, candidate{slot: slot, ref: s.ref})
-			}
+	cands := make([]candidate, 0, len(e.byID))
+	for slot, s := range e.slots {
+		if s.used {
+			cands = append(cands, candidate{slot: slot, ref: s.ref})
 		}
 	}
 	return cands

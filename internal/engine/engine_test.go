@@ -11,7 +11,6 @@ import (
 	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/eval"
 	"github.com/stslib/sts/internal/geo"
-	"github.com/stslib/sts/internal/index"
 	"github.com/stslib/sts/internal/model"
 )
 
@@ -147,58 +146,6 @@ func TestTopKMatchesDirectScoring(t *testing.T) {
 	}
 }
 
-func TestTopKWithIndexPrunerTracksMutation(t *testing.T) {
-	ix, err := index.New(index.Options{Grid: testGrid(t), TimeBucket: 60, SpatialSlack: 100, TimeSlack: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(testScorer(t), engine.Options{Pruner: ix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	near := walk("near", 100, 100, 5, 10, 8)
-	far := walk("far", 1000, 1000, 5, 10, 8)
-	if _, err := e.Add(near); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Add(far); err != nil {
-		t.Fatal(err)
-	}
-	query := walk("q", 110, 105, 5, 10, 8)
-
-	matches, err := e.TopK(context.Background(), query, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 1 || matches[0].ID != "near" {
-		t.Fatalf("pruned top-k %v, want just \"near\"", matches)
-	}
-
-	// Remove must drop the posting — the pruned candidate set goes empty.
-	if err := e.Remove("near"); err != nil {
-		t.Fatal(err)
-	}
-	matches, err = e.TopK(context.Background(), query, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 0 {
-		t.Fatalf("after Remove: %v, want none", matches)
-	}
-
-	// Replace moves "far" next to the query; its postings must follow.
-	if _, err := e.Replace(walk("far", 120, 110, 5, 10, 8)); err != nil {
-		t.Fatal(err)
-	}
-	matches, err = e.TopK(context.Background(), query, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 1 || matches[0].ID != "far" {
-		t.Fatalf("after Replace: %v, want relocated \"far\"", matches)
-	}
-}
-
 func TestScoreBatchMaskSkipsPreparation(t *testing.T) {
 	e, err := engine.New(testScorer(t), engine.Options{})
 	if err != nil {
@@ -227,13 +174,9 @@ func TestScoreBatchMaskSkipsPreparation(t *testing.T) {
 
 // TestConcurrentQueriesAndMutation exercises the documented concurrency
 // contract under the race detector: TopK/ScoreBatch snapshots must stay
-// consistent while Add/Remove/Replace churn the corpus and the index.
+// consistent while Add/Remove/Replace churn the corpus.
 func TestConcurrentQueriesAndMutation(t *testing.T) {
-	ix, err := index.New(index.Options{Grid: testGrid(t), TimeBucket: 60, SpatialSlack: 200, TimeSlack: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(testScorer(t), engine.Options{Pruner: ix, CacheSize: 8})
+	e, err := engine.New(testScorer(t), engine.Options{CacheSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

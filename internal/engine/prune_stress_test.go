@@ -9,7 +9,6 @@ import (
 
 	"github.com/stslib/sts/internal/core"
 	"github.com/stslib/sts/internal/engine"
-	"github.com/stslib/sts/internal/index"
 	"github.com/stslib/sts/internal/model"
 )
 
@@ -20,11 +19,7 @@ import (
 // queries additionally cross-check every result against an exhaustive
 // snapshot query issued by the same goroutine.
 func TestConcurrentPrunedTopKAndIngest(t *testing.T) {
-	ix, err := index.New(index.Options{Grid: testGrid(t), TimeBucket: 60, SpatialSlack: 200, TimeSlack: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(testScorer(t), engine.Options{Pruner: ix, CacheSize: 8})
+	e, err := engine.New(testScorer(t), engine.Options{CacheSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +109,7 @@ func TestConcurrentPrunedTopKAndIngest(t *testing.T) {
 // TestPrunedTopKStableCorpusEquivalence is the determinism cross-check the
 // stress test cannot do under churn: against a fixed corpus, concurrent
 // pruned queries must all return the exhaustive answer — through the exact
-// engine and through profiled engines in both profile storage modes.
+// engine and through a profiled engine.
 func TestPrunedTopKStableCorpusEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -122,7 +117,6 @@ func TestPrunedTopKStableCorpusEquivalence(t *testing.T) {
 	}{
 		{"exact", engine.Options{}},
 		{"profiled", engine.Options{Profile: &core.ProfileOptions{}}},
-		{"profiled-compact", engine.Options{Profile: &core.ProfileOptions{Compact: true}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { prunedEquivalence(t, c.opts) })

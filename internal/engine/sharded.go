@@ -1,5 +1,5 @@
 // Sharded is the single-process partitioned engine: N independent Engine
-// shards — each with its own corpus store, pruning index, and derived-state
+// shards — each with its own corpus store and derived-state
 // LRUs — behind a coordinator that implements the same Service surface.
 // Trajectories are routed to shards by FNV-1a hash of their ID (the same
 // idiom the LRU caches shard by), so mutations to different shards never
@@ -49,7 +49,7 @@ type ShardedOptions struct {
 	// by ShardOptions; SplitWorkers is the recommended split.
 	Workers int
 	// ShardOptions returns the Options for shard i — its corpus store
-	// (per-shard subdirectory when persistent), pruner, cache capacity,
+	// (per-shard subdirectory when persistent), cache capacity,
 	// and worker budget. Required. It is called concurrently for all
 	// shards, so persistent stores recover in parallel.
 	ShardOptions func(shard int) (Options, error)

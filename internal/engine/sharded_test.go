@@ -11,7 +11,6 @@ import (
 
 	"github.com/stslib/sts/internal/core"
 	"github.com/stslib/sts/internal/engine"
-	"github.com/stslib/sts/internal/index"
 	"github.com/stslib/sts/internal/linking"
 	"github.com/stslib/sts/internal/model"
 	"github.com/stslib/sts/internal/store"
@@ -19,7 +18,7 @@ import (
 
 // newShardedPair builds a single engine and a functionally identical
 // sharded coordinator; optsFn must return fresh Options on every call so
-// each shard gets its own pruner/store/caches.
+// each shard gets its own store and caches.
 func newShardedPair(t *testing.T, shards int, optsFn func() engine.Options) (*engine.Engine, *engine.Sharded) {
 	t.Helper()
 	scorer := testScorer(t)
@@ -111,23 +110,20 @@ func diffMatrix(t *testing.T, label string, got, want [][]float64) {
 }
 
 // TestShardedTopKEquivalence is the golden suite: for every engine
-// configuration (exact, index-pruned, profiled, pruning disabled) the
-// sharded coordinator must return the same (ID, Score) sequence as a
-// single engine over the same corpus — bit-identical scores, identical
-// tie order (the corpus is built so slot order equals ID order).
+// configuration (exact, pruned through a thrashing cache, profiled,
+// pruning disabled) the sharded coordinator must return the same (ID,
+// Score) sequence as a single engine over the same corpus — bit-identical
+// scores, identical tie order (the corpus is built so slot order equals ID
+// order).
 func TestShardedTopKEquivalence(t *testing.T) {
 	configs := []struct {
 		name   string
 		optsFn func() engine.Options
 	}{
 		{"exact", func() engine.Options { return engine.Options{} }},
-		{"pruned", func() engine.Options {
-			ix, err := index.New(index.Options{Grid: testGrid(t), TimeBucket: 60, SpatialSlack: 100, TimeSlack: 60})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return engine.Options{Pruner: ix}
-		}},
+		// A cache far smaller than the corpus evicts bound profiles while
+		// a query still needs them, as a spilling server does.
+		{"pruned", func() engine.Options { return engine.Options{CacheSize: 4} }},
 		{"profiled", func() engine.Options {
 			return engine.Options{Profile: &core.ProfileOptions{}}
 		}},
@@ -383,13 +379,7 @@ func TestShardedMutationRouting(t *testing.T) {
 // TestShardedStatsAggregation checks that the rolled-up counters equal
 // the sum of the per-shard snapshots the server exposes.
 func TestShardedStatsAggregation(t *testing.T) {
-	_, sharded := newShardedPair(t, 4, func() engine.Options {
-		ix, err := index.New(index.Options{Grid: testGrid(t), TimeBucket: 60, SpatialSlack: 100, TimeSlack: 60})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return engine.Options{Pruner: ix}
-	})
+	_, sharded := newShardedPair(t, 4, func() engine.Options { return engine.Options{} })
 	for _, tr := range goldenCorpus() {
 		if _, err := sharded.Add(tr); err != nil {
 			t.Fatal(err)

@@ -90,14 +90,13 @@ func (e *Engine) PruneStats() PruneStats {
 	}
 }
 
-// TopK scores the query against the corpus — against the pruner's
-// candidate set when a pruner is configured, the whole corpus otherwise —
-// and returns the k best matches by descending score (ties break by slot,
-// so results are deterministic). Scoring runs on the engine's worker pool
-// and honors ctx cancellation and deadlines; corpus mutations during the
-// query do not affect the snapshot being scored. Measure-backed engines
-// answer through the filter-and-refine path (identical results, far fewer
-// exact scorings) unless pruning is disabled.
+// TopK scores the query against the whole corpus and returns the k best
+// matches by descending score (ties break by slot, so results are
+// deterministic). Scoring runs on the engine's worker pool and honors ctx
+// cancellation and deadlines; corpus mutations during the query do not
+// affect the snapshot being scored. Measure-backed engines answer through
+// the filter-and-refine path (identical results, far fewer exact scorings)
+// unless pruning is disabled.
 func (e *Engine) TopK(ctx context.Context, query model.Trajectory, k int) ([]Match, error) {
 	return e.TopKOpts(ctx, query, TopKOptions{K: k, MinScore: math.Inf(-1)})
 }
@@ -115,7 +114,7 @@ func (e *Engine) TopKOpts(ctx context.Context, query model.Trajectory, opts TopK
 	if math.IsNaN(minScore) {
 		minScore = math.Inf(-1)
 	}
-	cands := e.snapshotCandidates(query)
+	cands := e.snapshotCandidates()
 	if len(cands) == 0 {
 		return nil, nil
 	}

@@ -139,7 +139,7 @@ func TestTrimPreservesDerivedState(t *testing.T) {
 					prep0.Misses, prep.Misses, prof0.Misses, prof.Misses)
 			}
 
-			fresh, err := engine.New(svc.Scorer(), appendOpts(t, svc.Profiled()))
+			fresh, err := engine.New(svc.Scorer(), appendOpts(svc.Profiled()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +207,6 @@ func TestWarmRestart(t *testing.T) {
 		opts engine.Options
 	}{
 		{"profiled", engine.Options{Profile: &core.ProfileOptions{BucketSeconds: 30}}},
-		{"compact", engine.Options{Profile: &core.ProfileOptions{BucketSeconds: 30, Compact: true}}},
 		{"exact", engine.Options{}}, // bound profiles only
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -279,41 +278,78 @@ func TestWarmRestart(t *testing.T) {
 	}
 }
 
-// TestWarmRestartConfigGate pins the configuration validation: a sidecar
-// written under one profile configuration must not warm an engine built
-// with another (the profiles would be wrong, not just stale).
+// TestWarmRestartConfigGate pins the warm-load validation: a sidecar
+// written under another bucket width must not warm the engine (the
+// profiles would be wrong, not just stale), and neither may an entry in the
+// retired float32 storage layout, which DecodeProfile refuses.
 func TestWarmRestartConfigGate(t *testing.T) {
-	dir := t.TempDir()
 	query := walk("q", 120, 100, 4, 10, 8)
-	warmDir(t, dir, engine.Options{Profile: &core.ProfileOptions{BucketSeconds: 30}}, query)
-
-	for _, tc := range []struct {
-		name string
-		opts engine.Options
-	}{
-		{"width", engine.Options{Profile: &core.ProfileOptions{BucketSeconds: 60}}},
-		{"storage", engine.Options{Profile: &core.ProfileOptions{BucketSeconds: 30, Compact: true}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			st, err := store.Open(dir, store.Options{SnapshotEvery: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := tc.opts
-			o.Corpus = st
-			e, err := engine.New(testScorer(t), o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			if e.WarmLoaded() != 0 {
-				t.Fatalf("%s mismatch warm-loaded %d profiles", tc.name, e.WarmLoaded())
-			}
-			if _, err := e.TopK(context.Background(), query, 6); err != nil {
-				t.Fatal(err)
-			}
-		})
+	reopen := func(t *testing.T, dir string, opts engine.Options) *engine.Engine {
+		t.Helper()
+		st, err := store.Open(dir, store.Options{SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Corpus = st
+		e, err := engine.New(testScorer(t), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = e.Close() })
+		if _, err := e.TopK(context.Background(), query, 6); err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
+	t.Run("width", func(t *testing.T) {
+		dir := t.TempDir()
+		warmDir(t, dir, engine.Options{Profile: &core.ProfileOptions{BucketSeconds: 30}}, query)
+		if e := reopen(t, dir, engine.Options{Profile: &core.ProfileOptions{BucketSeconds: 60}}); e.WarmLoaded() != 0 {
+			t.Fatalf("width mismatch warm-loaded %d profiles", e.WarmLoaded())
+		}
+	})
+	t.Run("storage", func(t *testing.T) {
+		// Every other entry carries flag bit 0, which marked float32
+		// profiles; the untouched entries prove the sidecar is otherwise
+		// valid for an exact engine.
+		dir := t.TempDir()
+		st, err := store.Open(dir, store.Options{SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := testScorer(t).Measure()
+		var entries []store.SidecarEntry
+		for i := 0; i < 10; i++ {
+			tr := walk(fmt.Sprintf("t%02d", i), 100+float64(i)*12, 100, 4, 10, 8)
+			ref, err := st.Add(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := m.Prepare(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, err := m.Profile(p, core.ProfileOptions{Bounds: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob := core.EncodeProfile(prof)
+			if i%2 == 0 {
+				blob[1] |= 1
+			}
+			entries = append(entries, store.SidecarEntry{ID: tr.ID, Gen: ref.Gen, Blob: blob})
+		}
+		st.SetSidecarSource(func() []store.SidecarEntry { return entries })
+		if err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if e := reopen(t, dir, engine.Options{}); e.WarmLoaded() != 5 {
+			t.Fatalf("WarmLoaded=%d, want the 5 float64 entries", e.WarmLoaded())
+		}
+	})
 }
 
 // TestWarmRestartSharded pins the per-shard sidecar round trip: each

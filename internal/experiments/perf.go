@@ -17,7 +17,6 @@ import (
 	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/eval"
 	"github.com/stslib/sts/internal/geo"
-	"github.com/stslib/sts/internal/index"
 	"github.com/stslib/sts/internal/kde"
 	"github.com/stslib/sts/internal/linking"
 	"github.com/stslib/sts/internal/model"
@@ -424,38 +423,9 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 		}
 	}
 
-	// Top-k search through the inverted spatio-temporal index.
-	{
-		sc := scenarios[1]
-		grid, err := sc.Grid(sc.GridSize, 0)
-		if err != nil {
-			return err
-		}
-		ix, err := index.Build(sc.D2, index.Options{
-			Grid:         grid,
-			TimeBucket:   120,
-			SpatialSlack: 400,
-			TimeSlack:    120,
-		})
-		if err != nil {
-			return err
-		}
-		scorers, err := BuildScorers(sc, sc.GridSize, 0, []string{MethodSTS})
-		if err != nil {
-			return err
-		}
-		query := sc.D1[0]
-		if err := add("topk_index/taxi", len(sc.D2), func() error {
-			_, err := ix.TopK(query, scorers[0], 5, workers)
-			return err
-		}); err != nil {
-			return err
-		}
-	}
-
-	// Top-k served by a persistent engine: the index prunes candidates and
-	// the LRU cache reuses each trajectory's preparation across queries —
-	// the steady-state serving path the engine layer exists for.
+	// Top-k served by a persistent engine: the LRU cache reuses each
+	// trajectory's preparation across queries — the steady-state serving
+	// path the engine layer exists for.
 	{
 		sc := scenarios[1]
 		scorers, err := BuildScorers(sc, sc.GridSize, 0, []string{MethodSTS})
@@ -466,20 +436,7 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 		// been since it was introduced; the filter-and-refine regime has its
 		// own pruned_topk row below.
 		mkEng := func(nw int) (*engine.Engine, error) {
-			grid, err := sc.Grid(sc.GridSize, 0)
-			if err != nil {
-				return nil, err
-			}
-			ix, err := index.New(index.Options{
-				Grid:         grid,
-				TimeBucket:   120,
-				SpatialSlack: 400,
-				TimeSlack:    120,
-			})
-			if err != nil {
-				return nil, err
-			}
-			eng, err := engine.New(scorers[0], engine.Options{Workers: nw, Pruner: ix, DisablePruning: true})
+			eng, err := engine.New(scorers[0], engine.Options{Workers: nw, DisablePruning: true})
 			if err != nil {
 				return nil, err
 			}
@@ -522,30 +479,17 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 		}
 	}
 
-	// Top-k served by a persistent *profiled* engine: same corpus, index and
-	// query mix as engine_topk, but pair scoring runs over cached bucketed
+	// Top-k served by a persistent *profiled* engine: same corpus and query
+	// mix as engine_topk, but pair scoring runs over cached bucketed
 	// profiles — the steady-state regime where the per-trajectory STP work
 	// is fully amortized and each query pays only sparse dot products.
 	{
 		sc := scenarios[1]
-		grid, err := sc.Grid(sc.GridSize, 0)
-		if err != nil {
-			return err
-		}
-		ix, err := index.New(index.Options{
-			Grid:         grid,
-			TimeBucket:   120,
-			SpatialSlack: 400,
-			TimeSlack:    120,
-		})
-		if err != nil {
-			return err
-		}
 		scorers, err := BuildScorers(sc, sc.GridSize, 0, []string{MethodSTS})
 		if err != nil {
 			return err
 		}
-		eng, err := engine.New(scorers[0], engine.Options{Workers: workers, Pruner: ix, Profile: &profOpts, DisablePruning: true})
+		eng, err := engine.New(scorers[0], engine.Options{Workers: workers, Profile: &profOpts, DisablePruning: true})
 		if err != nil {
 			return err
 		}
@@ -579,20 +523,7 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 			return err
 		}
 		newEng := func(disable bool, nw int) (*engine.Engine, error) {
-			grid, err := sc.Grid(sc.GridSize, 0)
-			if err != nil {
-				return nil, err
-			}
-			ix, err := index.New(index.Options{
-				Grid:         grid,
-				TimeBucket:   120,
-				SpatialSlack: 400,
-				TimeSlack:    120,
-			})
-			if err != nil {
-				return nil, err
-			}
-			eng, err := engine.New(scorers[0], engine.Options{Workers: nw, Pruner: ix, DisablePruning: disable})
+			eng, err := engine.New(scorers[0], engine.Options{Workers: nw, DisablePruning: disable})
 			if err != nil {
 				return nil, err
 			}
@@ -651,11 +582,11 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 		}
 
 		// Sharded pruned top-k: the same corpus and query mix scattered
-		// across engine shards, each with its own index pruner, so the
-		// "/shards=<n>" family traces how scatter-gather with MinScore-floor
-		// forwarding scales with partition count (shards=1 restates the
-		// single engine so the curve is self-contained). Results are
-		// bit-identical across the axis; only the partitioning varies.
+		// across engine shards, so the "/shards=<n>" family traces how
+		// scatter-gather with MinScore-floor forwarding scales with
+		// partition count (shards=1 restates the single engine so the curve
+		// is self-contained). Results are bit-identical across the axis;
+		// only the partitioning varies.
 		newSvc := func(nsh int) (engine.Service, error) {
 			if nsh == 1 {
 				return newEng(false, workers)
@@ -664,23 +595,7 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 				Shards:  nsh,
 				Workers: workers,
 				ShardOptions: func(int) (engine.Options, error) {
-					grid, err := sc.Grid(sc.GridSize, 0)
-					if err != nil {
-						return engine.Options{}, err
-					}
-					ix, err := index.New(index.Options{
-						Grid:         grid,
-						TimeBucket:   120,
-						SpatialSlack: 400,
-						TimeSlack:    120,
-					})
-					if err != nil {
-						return engine.Options{}, err
-					}
-					return engine.Options{
-						Workers: engine.SplitWorkers(workers, engine.DefaultFanOut),
-						Pruner:  ix,
-					}, nil
+					return engine.Options{Workers: engine.SplitWorkers(workers, engine.DefaultFanOut)}, nil
 				},
 			})
 			if err != nil {

@@ -87,56 +87,3 @@ func TestProfiledConvergenceTaxi(t *testing.T) {
 	bounds := []float64{0.56, 0.46, 0.44, 0.29, 0.042}
 	assertConverges(t, "taxi", widths, devs, bounds)
 }
-
-// compactDeviation scores D1×D2 through float64-backed and compact
-// (float32-backed) profiles at each width and returns the worst
-// element-wise deviation between the two storage modes.
-func compactDeviation(t *testing.T, sc Scenario, widths []float64) float64 {
-	t.Helper()
-	grid, err := sc.Grid(sc.GridSize, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := core.New(core.Options{Grid: grid, Noise: stprob.GaussianNoise{Sigma: sc.Sigma(0)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var worst float64
-	for _, w := range widths {
-		f64, err := eval.ScoreMatrix(sc.D1, sc.D2,
-			eval.NewSTSScorerProfiled("profiled", m, core.ProfileOptions{BucketSeconds: w}), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f32, err := eval.ScoreMatrix(sc.D1, sc.D2,
-			eval.NewSTSScorerProfiled("compact", m, core.ProfileOptions{BucketSeconds: w, Compact: true}), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range f64 {
-			for j := range f64[i] {
-				if d := math.Abs(f64[i][j] - f32[i][j]); d > worst {
-					worst = d
-				}
-			}
-		}
-	}
-	return worst
-}
-
-// TestCompactPrecisionGate is the precision gate of the float32 profile
-// lane: over the convergence fixtures' width sweep, compact scores must
-// stay within 1e-6 of the float64-profiled scores — the documented budget
-// of rounding each stored probability to float32 (DESIGN.md §12). Scores
-// here are probabilities in [0, 1], so the absolute and relative budgets
-// coincide.
-func TestCompactPrecisionGate(t *testing.T) {
-	widths := []float64{240, 60, 30, 15, 3.75}
-	for _, sc := range []Scenario{Mall(8, 11), Taxi(12, 13)} {
-		worst := compactDeviation(t, sc, widths)
-		t.Logf("%s: worst |profiled - compact| = %g", sc.Name, worst)
-		if worst > 1e-6 {
-			t.Errorf("%s: compact deviation %g exceeds the 1e-6 budget", sc.Name, worst)
-		}
-	}
-}

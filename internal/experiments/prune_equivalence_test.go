@@ -8,7 +8,6 @@ import (
 	"github.com/stslib/sts/internal/core"
 	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/eval"
-	"github.com/stslib/sts/internal/index"
 	"github.com/stslib/sts/internal/linking"
 	"github.com/stslib/sts/internal/model"
 )
@@ -22,22 +21,14 @@ const pruneEps = 1e-12
 
 // pruneWorld builds the equivalence fixture for one scenario: an engine
 // over sc.D2 with the filter-and-refine path enabled (exact or profiled
-// scoring), with an index pruner so the candidate flow matches serving.
+// scoring), configured as stsserved configures its engines.
 func pruneWorld(t *testing.T, sc Scenario, profiled bool) *engine.Engine {
 	t.Helper()
-	grid, err := sc.Grid(sc.GridSize, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := index.New(index.Options{Grid: grid, TimeBucket: 120, SpatialSlack: 400, TimeSlack: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
 	scorers, err := BuildScorers(sc, sc.GridSize, 0, []string{MethodSTS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := engine.Options{Workers: 2, Pruner: ix}
+	opts := engine.Options{Workers: 2}
 	if profiled {
 		opts.Profile = &core.ProfileOptions{}
 	}

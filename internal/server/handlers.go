@@ -45,6 +45,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		Profiled:   s.eng.Profiled(),
 		Workers:    s.eng.Workers(),
 		Prepared:   wireCacheStats(s.eng.CacheStats()),
+		Profile:    wireCacheStats(s.eng.ProfileCacheStats()),
 		Prune: api.PruneStats{
 			Considered:  ps.Considered,
 			BoundPruned: ps.BoundPruned,
@@ -52,19 +53,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 			Refined:     ps.Refined,
 		},
 	}
-	if resp.Profiled {
-		ps := wireCacheStats(s.eng.ProfileCacheStats())
-		resp.Profile = &ps
-	}
 	resp.Store = wireStoreStats(s.eng.StoreStats())
 	if st, ok := s.eng.(engine.ShardStater); ok {
 		shards := st.ShardStats()
 		resp.Shards = make([]api.ShardStats, len(shards))
 		for i, sh := range shards {
-			ws := api.ShardStats{
+			resp.Shards[i] = api.ShardStats{
 				Shard:      sh.Shard,
 				CorpusSize: sh.Len,
 				Prepared:   wireCacheStats(sh.Cache),
+				Profile:    wireCacheStats(sh.ProfileCache),
 				Prune: api.PruneStats{
 					Considered:  sh.Prune.Considered,
 					BoundPruned: sh.Prune.BoundPruned,
@@ -73,11 +71,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 				},
 				Store: wireStoreStats(sh.Store),
 			}
-			if resp.Profiled {
-				pc := wireCacheStats(sh.ProfileCache)
-				ws.Profile = &pc
-			}
-			resp.Shards[i] = ws
 		}
 	}
 	return writeJSON(w, http.StatusOK, resp)

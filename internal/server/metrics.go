@@ -195,13 +195,7 @@ func (m *metrics) render(w io.Writer, eng engine.Service, reg *stream.Registry) 
 	kinds := []struct {
 		name  string
 		stats engine.CacheStats
-	}{{"prepared", eng.CacheStats()}}
-	if eng.Profiled() {
-		kinds = append(kinds, struct {
-			name  string
-			stats engine.CacheStats
-		}{"profile", eng.ProfileCacheStats()})
-	}
+	}{{"prepared", eng.CacheStats()}, {"profile", eng.ProfileCacheStats()}}
 	fmt.Fprint(w, "# HELP sts_cache_hits_total Derived-state cache hits, by cache kind.\n# TYPE sts_cache_hits_total counter\n")
 	for _, k := range kinds {
 		fmt.Fprintf(w, "sts_cache_hits_total{cache=%q} %d\n", k.name, k.stats.Hits)

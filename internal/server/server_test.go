@@ -52,7 +52,7 @@ func mallWorld(t *testing.T, n int) (*core.Measure, *engine.Engine, model.Datase
 	return m, eng, sc.Base
 }
 
-func newTestServer(t *testing.T, eng *engine.Engine, opts server.Options) *httptest.Server {
+func newTestServer(t *testing.T, eng engine.Service, opts server.Options) *httptest.Server {
 	t.Helper()
 	if opts.Logger == nil {
 		opts.Logger = quietLogger()
@@ -226,8 +226,56 @@ func TestServedProfiledEngine(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &st); code != http.StatusOK || !st.Profiled {
 		t.Fatalf("stats: code %d, %+v — want profiled", code, st)
 	}
-	if st.Profile == nil || st.Profile.Misses == 0 {
+	if st.Profile.Misses == 0 {
 		t.Fatalf("profiled engine reports no profile-cache traffic: %+v", st.Profile)
+	}
+}
+
+// TestProfileCacheVisibleOnExactEngine pins the default server
+// configuration: an exact engine with pruning keeps a profile cache for its
+// bound pass, so after one pruned top-k both /v1/stats (top-level and per
+// shard) and /metrics report profile misses.
+func TestProfileCacheVisibleOnExactEngine(t *testing.T) {
+	m, single, ds := mallWorld(t, 8)
+	sharded, err := engine.NewSharded(eval.NewSTSScorer("STS", m), engine.ShardedOptions{
+		Shards:       2,
+		ShardOptions: func(int) (engine.Options, error) { return engine.Options{}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, eng := range map[string]engine.Service{"single": single, "sharded": sharded} {
+		t.Run(name, func(t *testing.T) {
+			ts := newTestServer(t, eng, server.Options{})
+			if code := doJSON(t, http.MethodPost, ts.URL+"/v1/trajectories:batch",
+				api.BatchRequest{Trajectories: api.FromDataset(ds)}, nil); code != http.StatusOK {
+				t.Fatalf("batch ingest: code %d", code)
+			}
+			if code := doJSON(t, http.MethodGet, ts.URL+"/v1/topk?id="+ds[0].ID+"&k=1", nil, nil); code != http.StatusOK {
+				t.Fatalf("topk: code %d", code)
+			}
+			var st api.StatsResponse
+			if code := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &st); code != http.StatusOK || st.Profiled {
+				t.Fatalf("stats: code %d, %+v — want an exact engine", code, st)
+			}
+			if st.Profile.Misses == 0 {
+				t.Fatalf("/v1/stats profile_cache shows no misses: %+v", st.Profile)
+			}
+			var shardMisses uint64
+			for _, sh := range st.Shards {
+				if sh.Profile.Misses == 0 {
+					t.Fatalf("shard %d profile_cache shows no misses: %+v", sh.Shard, sh.Profile)
+				}
+				shardMisses += sh.Profile.Misses
+			}
+			if len(st.Shards) > 0 && shardMisses != st.Profile.Misses {
+				t.Fatalf("per-shard profile misses sum to %d, top-level %d", shardMisses, st.Profile.Misses)
+			}
+			want := fmt.Sprintf("sts_cache_misses_total{cache=\"profile\"} %d\n", st.Profile.Misses)
+			if body := fetch(t, ts.URL+"/metrics"); !strings.Contains(body, want) {
+				t.Fatalf("/metrics lacks %q", want)
+			}
+		})
 	}
 }
 

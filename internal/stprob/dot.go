@@ -1,11 +1,11 @@
 package stprob
 
-// This file holds the sparse dot-product kernels: the innermost arithmetic
+// This file holds the sparse dot-product kernel: the innermost arithmetic
 // of every profiled pair score (one Dot per shared bucket) and of the
-// co-location probability of Eq. 9. Both variants are written for
-// bounds-check elimination: the prob arrays are pinned to the cell arrays'
-// lengths up front, so inside the merge the cursor comparisons that guard
-// the loop also prove every index in range (`go build -gcflags=-d=ssa/check_bce`
+// co-location probability of Eq. 9. It is written for bounds-check
+// elimination: the prob arrays are pinned to the cell arrays' lengths up
+// front, so inside the merge the cursor comparisons that guard the loop
+// also prove every index in range (`go build -gcflags=-d=ssa/check_bce`
 // reports no checks in the loop bodies; scripts/check_bce.sh gates this).
 //
 // The cursor advance is written as two independent `<=` conditions instead
@@ -30,71 +30,6 @@ func (d Dist) Dot(e Dist) float64 {
 		a, b := dc[i], ec[j]
 		if a == b {
 			s += dp[i] * ep[j]
-		}
-		if a <= b {
-			i++
-		}
-		if b <= a {
-			j++
-		}
-	}
-	return s
-}
-
-// Dist32 is the float32-backed form of Dist, the storage mode of compact
-// S-T profiles (core.ProfileOptions.Compact): cells stay full-width ints,
-// probabilities are stored in float32 — halving the dominant memory cost of
-// a cached profile — and all arithmetic over them runs in float64.
-type Dist32 struct {
-	Cells []int
-	Probs []float32
-}
-
-// IsZero reports whether the distribution carries no mass.
-func (d Dist32) IsZero() bool { return len(d.Cells) == 0 }
-
-// Sum returns the total mass, accumulated in float64.
-func (d Dist32) Sum() float64 {
-	var s float64
-	for _, p := range d.Probs {
-		s += float64(p)
-	}
-	return s
-}
-
-// Dist widens d to a float64-backed Dist with fresh storage, for
-// introspection paths that predate the compact mode.
-func (d Dist32) Dist() Dist {
-	if d.IsZero() {
-		return Dist{}
-	}
-	src := d.Probs
-	probs := make([]float64, len(src))
-	for i, p := range src {
-		probs[i] = float64(p)
-	}
-	return Dist{Cells: d.Cells, Probs: probs}
-}
-
-// Dot returns Σ_r d[r]·e[r] over two compact distributions. Each product
-// widens its float32 operands to float64 and the accumulation runs entirely
-// in float64, so the only precision loss against the float64 kernel is the
-// one-time rounding of each stored probability (≤ 2⁻²⁴ relative per value —
-// the compact mode's documented deviation budget derives from exactly this
-// term).
-func (d Dist32) Dot(e Dist32) float64 {
-	dc, ec := d.Cells, e.Cells
-	if len(d.Probs) < len(dc) || len(e.Probs) < len(ec) {
-		return 0 // unreachable: Dist32 invariants pair every cell with a prob
-	}
-	dp := d.Probs[:len(dc)]
-	ep := e.Probs[:len(ec)]
-	var s float64
-	i, j := 0, 0
-	for i < len(dc) && j < len(ec) {
-		a, b := dc[i], ec[j]
-		if a == b {
-			s += float64(dp[i]) * float64(ep[j])
 		}
 		if a <= b {
 			i++

@@ -15,7 +15,6 @@ import (
 	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/eval"
 	"github.com/stslib/sts/internal/geo"
-	"github.com/stslib/sts/internal/index"
 	"github.com/stslib/sts/internal/model"
 	"github.com/stslib/sts/internal/store"
 	"github.com/stslib/sts/internal/stream"
@@ -64,15 +63,9 @@ func tailOf(tr model.Trajectory, k int) []model.Sample {
 	return out
 }
 
-// streamOpts builds engine options with a fresh pruning index, optionally
-// profiled.
-func streamOpts(t *testing.T, profiled bool) engine.Options {
-	t.Helper()
-	ix, err := index.New(index.Options{Grid: testGrid(t), TimeBucket: 60, SpatialSlack: 100, TimeSlack: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := engine.Options{Pruner: ix}
+// streamOpts builds engine options, optionally profiled.
+func streamOpts(profiled bool) engine.Options {
+	var o engine.Options
 	if profiled {
 		o.Profile = &core.ProfileOptions{BucketSeconds: 30}
 	}
@@ -84,17 +77,17 @@ func streamOpts(t *testing.T, profiled bool) engine.Options {
 func streamEngines(t *testing.T) map[string]engine.Service {
 	t.Helper()
 	scorer := testScorer(t)
-	exact, err := engine.New(scorer, streamOpts(t, false))
+	exact, err := engine.New(scorer, streamOpts(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiled, err := engine.New(scorer, streamOpts(t, true))
+	profiled, err := engine.New(scorer, streamOpts(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded, err := engine.NewSharded(scorer, engine.ShardedOptions{
 		Shards:       3,
-		ShardOptions: func(int) (engine.Options, error) { return streamOpts(t, true), nil },
+		ShardOptions: func(int) (engine.Options, error) { return streamOpts(true), nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +191,7 @@ func TestStandingAlertsMatchOffline(t *testing.T) {
 // streaming path must match bit for bit.
 func offlineAlerts(t *testing.T, svc engine.Service, shadow map[string]model.Trajectory, grown model.Trajectory, members []string, theta float64) []stream.Alert {
 	t.Helper()
-	fresh, err := engine.New(svc.Scorer(), streamOpts(t, svc.Profiled()))
+	fresh, err := engine.New(svc.Scorer(), streamOpts(svc.Profiled()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +242,7 @@ func TestAlertDebounce(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	eng, err := engine.New(testScorer(t), streamOpts(t, false))
+	eng, err := engine.New(testScorer(t), streamOpts(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +424,7 @@ func TestWebhookDelivery(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	eng, err := engine.New(testScorer(t), streamOpts(t, false))
+	eng, err := engine.New(testScorer(t), streamOpts(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +538,7 @@ func TestWatchPersistence(t *testing.T) {
 // watch registration, deletion, and stats reads — the stream half of the
 // streaming -race stress gate.
 func TestConcurrentAppendWatch(t *testing.T) {
-	eng, err := engine.New(testScorer(t), streamOpts(t, true))
+	eng, err := engine.New(testScorer(t), streamOpts(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +619,7 @@ func TestConcurrentTrimAppendEvalSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := streamOpts(t, true)
+	opts := streamOpts(true)
 	opts.Corpus = st
 	eng, err := engine.New(testScorer(t), opts)
 	if err != nil {
@@ -722,7 +715,7 @@ func TestConcurrentTrimAppendEvalSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts2 := streamOpts(t, true)
+	opts2 := streamOpts(true)
 	opts2.Corpus = st2
 	eng2, err := engine.New(testScorer(t), opts2)
 	if err != nil {

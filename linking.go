@@ -3,7 +3,6 @@ package sts
 import (
 	"github.com/stslib/sts/internal/core"
 	"github.com/stslib/sts/internal/eval"
-	"github.com/stslib/sts/internal/index"
 	"github.com/stslib/sts/internal/linking"
 	"github.com/stslib/sts/internal/model"
 )
@@ -44,23 +43,6 @@ func Feasible(a, b Trajectory, maxSpeed, minGap float64) bool {
 // MergeByTime interleaves two trajectories into one time-sorted sequence
 // — the merged trajectory of Eq. 10 and of the FTL compatibility test.
 func MergeByTime(a, b Trajectory) Trajectory { return linking.MergeByTime(a, b) }
-
-// Top-k similarity search over an indexed corpus.
-
-// IndexOptions configures NewIndex: the index grid, the temporal bucket
-// in seconds, and the spatial/temporal slack used when probing.
-type IndexOptions = index.Options
-
-// IndexMatch is one result of a top-k query: the trajectory's position
-// in the indexed dataset and its similarity to the query.
-type IndexMatch = index.Match
-
-// Index prunes similarity search: only trajectories sharing a dilated
-// spatio-temporal key with the query are scored.
-type Index = index.Index
-
-// NewIndex builds a spatial-temporal inverted index over ds.
-func NewIndex(ds Dataset, opts IndexOptions) (*Index, error) { return index.Build(ds, opts) }
 
 // Contact episodes.
 
