@@ -121,8 +121,8 @@ func (m *Measure) AppendProfile(old *Profile, p *Prepared, opts ProfileOptions) 
 	bTail := bucketIndex(p.Tr.Samples[old.n-1].T, w)
 	stable := providerStable(m.provider)
 	prof := &Profile{ID: p.Tr.ID, BucketSeconds: w, n: p.Tr.Len()}
-	ws := scratchPool.Get().(*pairScratch)
-	defer scratchPool.Put(ws)
+	ws := scratchPool.get()
+	defer scratchPool.put(ws)
 	si, oi := 0, 0
 	for b := b0; b <= b1; b++ {
 		bucketEnd := float64(b+1) * w

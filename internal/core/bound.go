@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/stslib/sts/internal/geo"
 	"github.com/stslib/sts/internal/stprob"
@@ -391,39 +390,6 @@ func UpperBoundProfiled(a, b *Profile) (float64, error) {
 	return total * boundInflate / float64(a.n+b.n), nil
 }
 
-// SimilarityPreparedThreshold is SimilarityPrepared with an early exit: it
-// returns (score, true, nil) with the exact score — bit-identical to
-// SimilarityPrepared — when the score reaches theta or the pair is scored to
-// completion, and (bound, false, nil) as soon as the running partial sum
-// plus the remaining timestamps' trivial bound (CP ≤ 1 each) proves the
-// score cannot reach theta; bound is then an admissible upper bound on the
-// true score, itself below theta. A non-positive theta never exits early.
-func (m *Measure) SimilarityPreparedThreshold(a, b *Prepared, theta float64) (float64, bool, error) {
-	n := a.Tr.Len() + b.Tr.Len()
-	if n == 0 {
-		return 0, false, errors.New("core: both trajectories are empty")
-	}
-	thetaN := theta * float64(n)
-	ws := scratchPool.Get().(*pairScratch)
-	defer scratchPool.Put(ws)
-	var acc float64
-	rem := float64(n)
-	for _, side := range [2]*Prepared{a, b} {
-		for _, s := range side.Tr.Samples {
-			if (acc+rem)*boundInflate < thetaN {
-				return (acc + rem) * boundInflate / float64(n), false, nil
-			}
-			cp, err := coLocationWS(ws, a, b, s.T)
-			if err != nil {
-				return 0, false, err
-			}
-			acc += cp
-			rem--
-		}
-	}
-	return acc / float64(n), true, nil
-}
-
 // SimilarityProfiledThreshold is SimilarityProfiled with an early exit fed
 // by the profiles' suffix weights: once the running total plus
 // (remaining timestamp weight)·(best possible per-timestamp co-location)
@@ -470,7 +436,7 @@ type refineScratch struct {
 	sufs []float64
 }
 
-var refinePool = sync.Pool{New: func() any { return new(refineScratch) }}
+var refinePool = newPool(func() *refineScratch { return new(refineScratch) })
 
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
@@ -496,8 +462,8 @@ func (m *Measure) RefineThreshold(a, b *Prepared, pa, pb *Profile, theta float64
 	}
 	n := a.Tr.Len() + b.Tr.Len()
 	thetaN := theta * float64(n)
-	rs := refinePool.Get().(*refineScratch)
-	defer refinePool.Put(rs)
+	rs := refinePool.get()
+	defer refinePool.put(rs)
 	na := len(pa.bndBuckets)
 	nt := na + len(pb.bndBuckets)
 	rs.ubs = growFloats(rs.ubs, nt)

@@ -51,17 +51,7 @@ func checkAdmissible(t *testing.T, m *Measure, a, b *Prepared, pa, pb *Profile) 
 	}
 
 	for _, theta := range []float64{math.Inf(-1), 0, exact / 2, exact, exact * 1.0001, ub, ub * 2} {
-		got, ok, err := m.SimilarityPreparedThreshold(a, b, theta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok && got != exact {
-			t.Fatalf("theta %v: SimilarityPreparedThreshold completed with %v, exact %v", theta, got, exact)
-		}
-		if !ok && !(exact < theta) {
-			t.Fatalf("theta %v: early exit (bound %v) but exact %v reaches it", theta, got, exact)
-		}
-		got, ok, err = m.RefineThreshold(a, b, pa, pb, theta)
+		got, ok, err := m.RefineThreshold(a, b, pa, pb, theta)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -193,8 +193,8 @@ func (m *Measure) Profile(p *Prepared, opts ProfileOptions) (*Profile, error) {
 			p.Tr.ID, nb, maxProfileBuckets)
 	}
 	prof := &Profile{ID: p.Tr.ID, BucketSeconds: w, n: p.Tr.Len()}
-	ws := scratchPool.Get().(*pairScratch)
-	defer scratchPool.Put(ws)
+	ws := scratchPool.get()
+	defer scratchPool.put(ws)
 	si := 0 // cursor over the trajectory's samples
 	for b := b0; b <= b1; b++ {
 		bucketEnd := float64(b+1) * w

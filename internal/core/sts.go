@@ -12,7 +12,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/stslib/sts/internal/geo"
 	"github.com/stslib/sts/internal/kde"
@@ -332,15 +331,41 @@ func (p *Prepared) DistAt(t float64) (stprob.Dist, error) {
 // ws and stay valid only until its next use; observed-timestamp results
 // alias the (immutable) preparation cache.
 func (p *Prepared) distAtWS(ws *stprob.Workspace, t float64) (stprob.Dist, error) {
-	if p.Tr.Len() == 0 || t < p.Tr.Start() || t > p.Tr.End() {
+	at, ok := p.locate(t)
+	if !ok {
 		return stprob.Dist{}, nil
 	}
-	exact, before, after := p.Tr.Bracket(t)
-	if exact >= 0 {
-		return p.obs[exact], nil
+	return p.distWS(ws, at, t)
+}
+
+// bracket is where a time falls in a prepared trajectory: at observation
+// exact, or (exact < 0) strictly between observations before and after.
+type bracket struct{ exact, before, after int }
+
+// locate brackets t. ok is false when t lies outside the observed span,
+// where the location distribution is zero (the third case of Eq. 5).
+func (p *Prepared) locate(t float64) (at bracket, ok bool) {
+	if p.Tr.Len() == 0 || t < p.Tr.Start() || t > p.Tr.End() {
+		return bracket{}, false
 	}
-	return p.est.BetweenDistWS(ws, p.Tr.Samples[before], p.Tr.Samples[after],
-		p.obs[before], p.obs[after], t)
+	at.exact, at.before, at.after = p.Tr.Bracket(t)
+	return at, true
+}
+
+// distWS returns the location distribution at t, given its bracket at,
+// on scratch ws.
+func (p *Prepared) distWS(ws *stprob.Workspace, at bracket, t float64) (stprob.Dist, error) {
+	if at.exact >= 0 {
+		return p.obs[at.exact], nil
+	}
+	return p.est.BetweenDistWS(ws, p.Tr.Samples[at.before], p.Tr.Samples[at.after],
+		p.obs[at.before], p.obs[at.after], t)
+}
+
+// mayMeet reports whether the interpolation at t, located between two
+// observations, may put mass on any of cells (see stprob.Estimator.MayMeet).
+func (p *Prepared) mayMeet(at bracket, t float64, cells []int) bool {
+	return p.est.MayMeet(p.Tr.Samples[at.before], p.Tr.Samples[at.after], t, cells)
 }
 
 // pairScratch is the reusable evaluation state of one similarity
@@ -353,29 +378,50 @@ type pairScratch struct {
 // scratchPool recycles pairScratch values across SimilarityPrepared calls,
 // so steady-state matrix scoring performs no per-pair heap allocations
 // while staying safe under concurrent scoring goroutines.
-var scratchPool = sync.Pool{New: func() any { return new(pairScratch) }}
+var scratchPool = newPool(func() *pairScratch { return new(pairScratch) })
 
 // CoLocation returns CP(t | Tra1, Tra2) of Eq. 9 — the probability that
 // the two objects are in the same grid cell at time t — implementing
 // Algorithm 1: both location distributions are normalized and their
-// element-wise product is summed over the grid.
+// element-wise product is summed over the cells both support. When one
+// object is observed at t and the other's candidate cells provably miss
+// that observation's noise support, the sum is 0.0 without interpolating
+// (see coLocationWS).
 func CoLocation(a, b *Prepared, t float64) (float64, error) {
-	ws := scratchPool.Get().(*pairScratch)
+	ws := scratchPool.get()
 	cp, err := coLocationWS(ws, a, b, t)
-	scratchPool.Put(ws)
+	scratchPool.put(ws)
 	return cp, err
 }
 
-// coLocationWS is CoLocation on caller-provided scratch.
+// coLocationWS is CoLocation on caller-provided scratch. It brackets t in
+// each trajectory once. When exactly one side is observed at t and the
+// other lies strictly between two of its observations, the interpolated
+// side first tests whether any cell of the observed noise support can be
+// one of its Eq. 4 candidate cells; when none can, the two supports are
+// disjoint and CP(t) is the exact 0.0 Dot would return, so the
+// interpolation is skipped. Every other term runs the same operations in
+// the same order as DistAt followed by Dot.
 func coLocationWS(ws *pairScratch, a, b *Prepared, t float64) (float64, error) {
-	da, err := a.distAtWS(&ws.a, t)
+	atA, ok := a.locate(t)
+	if !ok {
+		return 0, nil
+	}
+	atB, okB := b.locate(t)
+	if atA.exact < 0 && okB && atB.exact >= 0 && !a.mayMeet(atA, t, b.obs[atB.exact].Cells) {
+		return 0, nil
+	}
+	da, err := a.distWS(&ws.a, atA, t)
 	if err != nil {
 		return 0, err
 	}
-	if da.IsZero() {
+	if da.IsZero() || !okB {
 		return 0, nil
 	}
-	db, err := b.distAtWS(&ws.b, t)
+	if atB.exact < 0 && atA.exact >= 0 && !b.mayMeet(atB, t, da.Cells) {
+		return 0, nil
+	}
+	db, err := b.distWS(&ws.b, atB, t)
 	if err != nil {
 		return 0, err
 	}
@@ -389,8 +435,8 @@ func (m *Measure) SimilarityPrepared(a, b *Prepared) (float64, error) {
 	if n == 0 {
 		return 0, errors.New("core: both trajectories are empty")
 	}
-	ws := scratchPool.Get().(*pairScratch)
-	defer scratchPool.Put(ws)
+	ws := scratchPool.get()
+	defer scratchPool.put(ws)
 	var total float64
 	for _, s := range a.Tr.Samples {
 		cp, err := coLocationWS(ws, a, b, s.T)

@@ -106,8 +106,8 @@ func (m *Measure) TrimProfile(old *Profile, p *Prepared, opts ProfileOptions) (*
 	// model itself moved.
 	stable := providerStable(m.provider)
 	prof := &Profile{ID: p.Tr.ID, BucketSeconds: w, n: p.Tr.Len()}
-	ws := scratchPool.Get().(*pairScratch)
-	defer scratchPool.Put(ws)
+	ws := scratchPool.get()
+	defer scratchPool.put(ws)
 	si, oi := 0, 0
 	for b := b0; b <= b1; b++ {
 		bucketEnd := float64(b+1) * w

@@ -540,6 +540,48 @@ func (e *Estimator) candidateCellsWS(ws *Workspace, prev, next model.Sample, t f
 		}
 		return ws.cells
 	}
+	r := e.reachAt(prev, next, t)
+	// Enumerate within the smaller disk, filter by the other.
+	cand := e.Grid.CellsWithin(ws.cells[:0], r.aLoc, r.aR)
+	ws.cells = cand
+	out := cand[:0]
+	// Filter by squared distance: CellsWithin enumerates cells the same way,
+	// and skipping the sqrt per cell keeps this scan off the hot-loop
+	// profile (the membership predicate d² ≤ r² is sqrt-free and exact for
+	// the non-negative radii in play).
+	bRR := r.bR * r.bR
+	for _, c := range cand {
+		if e.Grid.Center(c).Dist2(r.bLoc) <= bRR {
+			out = append(out, c)
+		}
+	}
+	if len(out) == 0 {
+		// The disks do not intersect (observations inconsistent with the
+		// speed bound). Fall back to the noise support around the
+		// time-interpolated position so the distribution stays usable.
+		out = e.Grid.CellsWithin(out, r.mid, r.nr)
+		ws.cells = out
+	}
+	if e.MaxCandidateCells > 0 && len(out) > e.MaxCandidateCells {
+		out = nearestCellsWS(ws, e.Grid, out, r.mid, e.MaxCandidateCells)
+	}
+	return out
+}
+
+// reach is the geometry candidateCellsWS selects from at one in-between
+// time: the two reach disks around the bracketing observations, ordered so
+// that disk a (the smaller) is the enumerated one, and the noise disk
+// around the time-interpolated position that serves as the fallback when
+// the reach disks share no cell center.
+type reach struct {
+	aLoc, bLoc, mid geo.Point
+	aR, bR, nr      float64
+}
+
+// reachAt computes the reach geometry at time t strictly between prev and
+// next. candidateCellsWS and MayMeet both read it, so the cells the test
+// accepts follow the radii the interpolation enumerates by construction.
+func (e *Estimator) reachAt(prev, next model.Sample, t float64) reach {
 	nr := e.Noise.SupportRadius()
 	if nr <= 0 {
 		// Point-mass noise still needs at least one-cell support for the
@@ -556,37 +598,83 @@ func (e *Estimator) candidateCellsWS(ws *Workspace, prev, next model.Sample, t f
 		rPrev = nr + gap
 		rNext = nr + gap
 	}
-	// Enumerate within the smaller disk, filter by the other.
-	aLoc, aR, bLoc, bR := prev.Loc, rPrev, next.Loc, rNext
-	if bR < aR {
-		aLoc, aR, bLoc, bR = bLoc, bR, aLoc, aR
-	}
-	cand := e.Grid.CellsWithin(ws.cells[:0], aLoc, aR)
-	ws.cells = cand
-	out := cand[:0]
-	// Filter by squared distance: CellsWithin enumerates cells the same way,
-	// and skipping the sqrt per cell keeps this scan off the hot-loop
-	// profile (the membership predicate d² ≤ r² is sqrt-free and exact for
-	// the non-negative radii in play).
-	bRR := bR * bR
-	for _, c := range cand {
-		if e.Grid.Center(c).Dist2(bLoc) <= bRR {
-			out = append(out, c)
-		}
+	r := reach{aLoc: prev.Loc, aR: rPrev, bLoc: next.Loc, bR: rNext, nr: nr}
+	if r.bR < r.aR {
+		r.aLoc, r.aR, r.bLoc, r.bR = r.bLoc, r.bR, r.aLoc, r.aR
 	}
 	f := (t - prev.T) / (next.T - prev.T)
-	mid := prev.Loc.Lerp(next.Loc, f)
-	if len(out) == 0 {
-		// The disks do not intersect (observations inconsistent with the
-		// speed bound). Fall back to the noise support around the
-		// time-interpolated position so the distribution stays usable.
-		out = e.Grid.CellsWithin(out, mid, nr)
-		ws.cells = out
+	r.mid = prev.Loc.Lerp(next.Loc, f)
+	return r
+}
+
+// meetPad widens MayMeet's disks by this fraction of a cell, so a center
+// that candidateCellsWS admits at the rim is never rejected because the two
+// distance computations round differently. It stays orders of magnitude
+// above that rounding while coordinates and radii are below 10⁶ cells, and
+// far below one cell.
+const meetPad = 1e-6
+
+// MayMeet reports whether any of cells may be a candidate cell of the
+// in-between distribution that BetweenDistWS computes at t, strictly
+// between prev and next. A false answer is a proof: a cell outside the
+// candidate set carries no mass, so the dot product of that distribution
+// with any distribution supported on cells is exactly 0.0 and the
+// interpolation can be skipped. The test may answer true when unsure, and
+// accepts every cell candidateCellsWS can return:
+//
+//   - a cell whose center lies in both reach disks;
+//   - the cell containing the enumerated disk's center, which CellsWithin
+//     returns when that disk holds no cell center;
+//   - the fallback cells around the time-interpolated position, whether or
+//     not the reach disks intersect.
+//
+// The MaxCandidateCells cap only removes candidates, so it is ignored.
+// Exact estimators (whose candidates are all of R) and estimators without
+// a transition model (BetweenDistWS then reports ErrNoTransition) always
+// answer true. cells need not be sorted; sorted input, the Dist invariant,
+// costs one division per grid row instead of one per cell.
+func (e *Estimator) MayMeet(prev, next model.Sample, t float64, cells []int) bool {
+	if e.Exact || e.Trans == nil {
+		return true
 	}
-	if e.MaxCandidateCells > 0 && len(out) > e.MaxCandidateCells {
-		out = nearestCellsWS(ws, e.Grid, out, mid, e.MaxCandidateCells)
+	r := e.reachAt(prev, next, t)
+	g := e.Grid
+	cellA, cellMid := g.Cell(r.aLoc), g.Cell(r.mid)
+	cs := g.CellSize()
+	pad := meetPad * cs
+	aRR := (r.aR + pad) * (r.aR + pad)
+	bRR := (r.bR + pad) * (r.bR + pad)
+	mRR := (r.nr + pad) * (r.nr + pad)
+	origin := g.Bounds().Min
+	nx := g.Cols()
+	// [rowLo, rowHi) is the index range of the current cell's grid row;
+	// rowIn is false when no center of that row can lie in the accepted
+	// region, so its cells are skipped without distance tests.
+	rowLo, rowHi := 0, 0
+	rowIn := false
+	var dyA2, dyB2, dyM2 float64
+	for _, c := range cells {
+		if c == cellA || c == cellMid {
+			return true
+		}
+		if c < rowLo || c >= rowHi {
+			row := c / nx
+			rowLo, rowHi = row*nx, row*nx+nx
+			cy := origin.Y + (float64(row)+0.5)*cs
+			dyA, dyB, dyM := cy-r.aLoc.Y, cy-r.bLoc.Y, cy-r.mid.Y
+			dyA2, dyB2, dyM2 = dyA*dyA, dyB*dyB, dyM*dyM
+			rowIn = (dyA2 <= aRR && dyB2 <= bRR) || dyM2 <= mRR
+		}
+		if !rowIn {
+			continue
+		}
+		cx := origin.X + (float64(c-rowLo)+0.5)*cs
+		dxA, dxB, dxM := cx-r.aLoc.X, cx-r.bLoc.X, cx-r.mid.X
+		if (dxA*dxA+dyA2 <= aRR && dxB*dxB+dyB2 <= bRR) || dxM*dxM+dyM2 <= mRR {
+			return true
+		}
 	}
-	return out
+	return false
 }
 
 // nearestCellsWS keeps the k cells of cand whose centers are nearest to p,
