@@ -2,6 +2,7 @@ package sts
 
 import (
 	"context"
+	"math"
 	"time"
 
 	"github.com/stslib/sts/internal/engine"
@@ -222,8 +223,10 @@ func LinkDatasetsOptimalContext(ctx context.Context, d1, d2 Dataset, scorer Scor
 	return linking.OptimalLinkContext(ctx, d1, d2, scorer, opts)
 }
 
-// ScoreMatrixContext scores rows × cols with cancellation; see
-// eval.ScoreMatrixContext for the masked/unmasked semantics.
+// ScoreMatrixContext scores rows × cols with cancellation:
+// scores[i][j] = s.Score(rows[i], cols[j]), with NaN mapped to −Inf. An STS
+// scorer prepares (and, when profiled, profiles) each distinct trajectory
+// once per call.
 func ScoreMatrixContext(ctx context.Context, rows, cols Dataset, s Scorer, workers int) ([][]float64, error) {
-	return eval.ScoreMatrixContext(ctx, rows, cols, s, workers)
+	return engine.ScoreMatrix(ctx, s, rows, cols, nil, math.Inf(-1), workers)
 }

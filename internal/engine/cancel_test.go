@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -106,7 +107,7 @@ func TestMatrixScoringCancellation(t *testing.T) {
 	d1, d2 := cancelDataset("r", 40), cancelDataset("c", 40)
 	s := slowScorer(5 * time.Millisecond) // 1600 pairs ≈ 8s serial if uncancelled
 	expectCancelled(t, "ScoreMatrixContext", func(ctx context.Context) error {
-		_, err := eval.ScoreMatrixContext(ctx, d1, d2, s, 2)
+		_, err := engine.ScoreMatrix(ctx, s, d1, d2, nil, math.Inf(-1), 2)
 		return err
 	})
 }

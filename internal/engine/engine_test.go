@@ -147,28 +147,49 @@ func TestTopKMatchesDirectScoring(t *testing.T) {
 }
 
 func TestScoreBatchMaskSkipsPreparation(t *testing.T) {
-	e, err := engine.New(testScorer(t), engine.Options{})
+	meas, err := core.NewSTS(testGrid(t), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := model.Dataset{walk("r0", 100, 100, 5, 10, 8), walk("r1", 200, 200, 5, 10, 8)}
 	cols := model.Dataset{walk("c0", 105, 100, 5, 10, 8), walk("c1", 800, 800, 5, 10, 8)}
 	mask := [][]bool{{true, false}, {false, false}} // r1 and c1 never admissible
-	m, err := e.ScoreBatch(context.Background(), rows, cols, mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsInf(m[0][0], -1) {
-		t.Errorf("admissible pair scored -Inf")
-	}
-	for _, ij := range [][2]int{{0, 1}, {1, 0}, {1, 1}} {
-		if !math.IsInf(m[ij[0]][ij[1]], -1) {
-			t.Errorf("masked pair [%d][%d]=%v, want -Inf", ij[0], ij[1], m[ij[0]][ij[1]])
+	for _, tc := range []struct {
+		label  string
+		scorer *eval.STSScorer
+		floor  float64
+		// profiles is the profile-cache miss count: the bound pass of a
+		// floored exact engine and every profiled call build profiles.
+		profiles uint64
+	}{
+		{"exact", eval.NewSTSScorer("STS", meas), math.Inf(-1), 0},
+		{"exact/floored", eval.NewSTSScorer("STS", meas), 0.01, 2},
+		{"profiled", eval.NewSTSScorerProfiled("STS-P", meas, core.ProfileOptions{}), math.Inf(-1), 2},
+		{"profiled/floored", eval.NewSTSScorerProfiled("STS-P", meas, core.ProfileOptions{}), 0.01, 2},
+	} {
+		e, err := engine.New(tc.scorer, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Only r0 and c0 appear in admissible pairs, so only they are prepared.
-	if stats := e.CacheStats(); stats.Misses != 2 {
-		t.Errorf("prepared %d trajectories for a mask needing 2 (stats %+v)", stats.Misses, stats)
+		m, err := e.ScoreBatchMin(context.Background(), rows, cols, mask, tc.floor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsInf(m[0][0], -1) {
+			t.Errorf("%s: admissible pair scored -Inf", tc.label)
+		}
+		for _, ij := range [][2]int{{0, 1}, {1, 0}, {1, 1}} {
+			if !math.IsInf(m[ij[0]][ij[1]], -1) {
+				t.Errorf("%s: masked pair [%d][%d]=%v, want -Inf", tc.label, ij[0], ij[1], m[ij[0]][ij[1]])
+			}
+		}
+		// Only r0 and c0 appear in admissible pairs, so only they are prepared.
+		if stats := e.CacheStats(); stats.Misses != 2 {
+			t.Errorf("%s: prepared %d trajectories for a mask needing 2 (stats %+v)", tc.label, stats.Misses, stats)
+		}
+		if stats := e.ProfileCacheStats(); stats.Misses != tc.profiles {
+			t.Errorf("%s: profiled %d trajectories, want %d (stats %+v)", tc.label, stats.Misses, tc.profiles, stats)
+		}
 	}
 }
 

@@ -84,10 +84,11 @@ func ForEach(ctx context.Context, n, workers int, f func(i int) error) error {
 	return ctx.Err()
 }
 
-// matrix fills an n×m matrix with sanitize(f(i, j)), parallelizing over
-// rows through ForEach. Long rows re-check the context periodically so a
-// cancellation returns promptly even when n is small and m is large.
-func matrix(ctx context.Context, n, m, workers int, f func(i, j int) (float64, error)) ([][]float64, error) {
+// matrix fills an n×m matrix with f(i, j), mapping NaN and scores below
+// minScore to −Inf, parallelizing over rows through ForEach. Long rows
+// re-check the context periodically so a cancellation returns promptly
+// even when n is small and m is large.
+func matrix(ctx context.Context, n, m, workers int, minScore float64, f func(i, j int) (float64, error)) ([][]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -103,6 +104,9 @@ func matrix(ctx context.Context, n, m, workers int, f func(i, j int) (float64, e
 			v, err := f(i, j)
 			if err != nil {
 				return err
+			}
+			if v < minScore {
+				v = math.Inf(-1)
 			}
 			row[j] = sanitize(v)
 		}

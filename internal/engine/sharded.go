@@ -370,18 +370,15 @@ func (s *Sharded) TopKOpts(ctx context.Context, query model.Trajectory, opts Top
 	return h.sorted(), nil
 }
 
-// ScoreBatch fans contiguous row blocks across shards, each block scored
-// by one shard engine with its own caches and workers; cell values are
-// bit-identical to a single engine's ScoreBatch (same kernels, same
-// snapshot-free transient data).
+// ScoreBatch is ScoreBatchMin without a floor.
 func (s *Sharded) ScoreBatch(ctx context.Context, rows, cols model.Dataset, mask [][]bool) ([][]float64, error) {
-	return s.fanRows(ctx, rows, func(eng *Engine, lo, hi int) ([][]float64, error) {
-		return eng.ScoreBatch(ctx, rows[lo:hi], cols, sliceMask(mask, lo, hi))
-	})
+	return s.ScoreBatchMin(ctx, rows, cols, mask, math.Inf(-1))
 }
 
-// ScoreBatchMin is ScoreBatch with a score floor, fanned out the same way;
-// every shard filter-and-refines its block against minScore.
+// ScoreBatchMin fans contiguous row blocks across shards, each block scored
+// by one shard engine with its own caches and workers against minScore;
+// cell values are bit-identical to a single engine's ScoreBatchMin (same
+// kernel, same snapshot-free transient data).
 func (s *Sharded) ScoreBatchMin(ctx context.Context, rows, cols model.Dataset, mask [][]bool, minScore float64) ([][]float64, error) {
 	return s.fanRows(ctx, rows, func(eng *Engine, lo, hi int) ([][]float64, error) {
 		return eng.ScoreBatchMin(ctx, rows[lo:hi], cols, sliceMask(mask, lo, hi), minScore)

@@ -230,8 +230,8 @@ func TestShardedScoreBatchEquivalence(t *testing.T) {
 }
 
 // TestShardedLinkingEquivalence drives the greedy batch linker through
-// both implementations — *Sharded satisfies linking.Batcher/MinBatcher
-// exactly like *Engine does.
+// both implementations — *Sharded satisfies linking.Batcher exactly like
+// *Engine does.
 func TestShardedLinkingEquivalence(t *testing.T) {
 	single, sharded := newShardedPair(t, 3, func() engine.Options { return engine.Options{} })
 	ctx := context.Background()

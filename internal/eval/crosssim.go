@@ -1,10 +1,12 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
 
+	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/model"
 )
 
@@ -148,4 +150,10 @@ func CrossSimilaritySweep(pairs []Pair, s Scorer, alphas []float64, rng *rand.Ra
 		out[ai] = total / float64(used)
 	}
 	return out, nil
+}
+
+// parallelFor runs f(0..n-1) across workers goroutines (0 selects
+// GOMAXPROCS) on the engine executor and returns the first error.
+func parallelFor(n, workers int, f func(i int) error) error {
+	return engine.ForEach(context.Background(), n, workers, f)
 }

@@ -1,12 +1,14 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/geo"
 	"github.com/stslib/sts/internal/model"
 )
@@ -105,11 +107,11 @@ func TestScoreMatrixParallelMatchesSerial(t *testing.T) {
 		rows = append(rows, tagged("r", float64(i)))
 		cols = append(cols, tagged("c", float64(i*2)))
 	}
-	serial, err := ScoreMatrix(rows, cols, tagCloseness, 1)
+	serial, err := engine.ScoreMatrix(context.Background(), tagCloseness, rows, cols, nil, math.Inf(-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ScoreMatrix(rows, cols, tagCloseness, 4)
+	parallel, err := engine.ScoreMatrix(context.Background(), tagCloseness, rows, cols, nil, math.Inf(-1), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestScoreMatrixSanitizesNaN(t *testing.T) {
 	nanScorer := FuncScorer{N: "nan", F: func(a, b model.Trajectory) (float64, error) {
 		return math.NaN(), nil
 	}}
-	m, err := ScoreMatrix(model.Dataset{tagged("a", 1)}, model.Dataset{tagged("b", 2)}, nanScorer, 1)
+	m, err := engine.ScoreMatrix(context.Background(), nanScorer, model.Dataset{tagged("a", 1)}, model.Dataset{tagged("b", 2)}, nil, math.Inf(-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"sync/atomic"
 	"testing"
 
 	"github.com/stslib/sts/internal/core"
+	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/geo"
 	"github.com/stslib/sts/internal/model"
 )
@@ -31,7 +33,7 @@ func TestScoreMatrixMaskedSkipsMaskedPairs(t *testing.T) {
 		{false, false, true},
 	}
 	sc := &countingScorer{}
-	m, err := ScoreMatrixMasked(rows, cols, sc, mask, 1)
+	m, err := engine.ScoreMatrix(context.Background(), sc, rows, cols, mask, math.Inf(-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +57,11 @@ func TestScoreMatrixMaskedSkipsMaskedPairs(t *testing.T) {
 func TestScoreMatrixMaskedNilMaskMatchesScoreMatrix(t *testing.T) {
 	rows := model.Dataset{tagged("r0", 1), tagged("r1", 2)}
 	cols := model.Dataset{tagged("c0", 3), tagged("c1", 5)}
-	a, err := ScoreMatrixMasked(rows, cols, tagCloseness, nil, 1)
+	a, err := engine.ScoreMatrix(context.Background(), tagCloseness, rows, cols, nil, math.Inf(-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ScoreMatrix(rows, cols, tagCloseness, 1)
+	b, err := engine.ScoreMatrix(context.Background(), tagCloseness, rows, cols, nil, math.Inf(-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +106,12 @@ func TestSTSScorerParallelMatrixDeterministic(t *testing.T) {
 		rows = append(rows, stsWalk("r", float64(k*15)))
 		cols = append(cols, stsWalk("c", float64(k*15)+1))
 	}
-	serial, err := ScoreMatrix(rows, cols, s, 1)
+	serial, err := engine.ScoreMatrix(context.Background(), s, rows, cols, nil, math.Inf(-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 3; trial++ {
-		parallel, err := ScoreMatrix(rows, cols, s, 8)
+		parallel, err := engine.ScoreMatrix(context.Background(), s, rows, cols, nil, math.Inf(-1), 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,11 +145,11 @@ func TestSTSScorerMaskedMatchesUnmasked(t *testing.T) {
 		{false, true},
 		{false, false}, // r2 appears in no pair: must not even be prepared
 	}
-	got, err := ScoreMatrixMasked(rows, cols, s, mask, 1)
+	got, err := engine.ScoreMatrix(context.Background(), s, rows, cols, mask, math.Inf(-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ScoreMatrix(rows, cols, s, 1)
+	want, err := engine.ScoreMatrix(context.Background(), s, rows, cols, nil, math.Inf(-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,12 @@ package eval
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
 
+	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/model"
 )
 
@@ -50,7 +52,7 @@ func MatchingContext(ctx context.Context, d1, d2 model.Dataset, s Scorer, worker
 		return MatchResult{}, errors.New("eval: empty datasets")
 	}
 	start := time.Now()
-	scores, err := ScoreMatrixContext(ctx, d1, d2, s, workers)
+	scores, err := engine.ScoreMatrix(ctx, s, d1, d2, nil, math.Inf(-1), workers)
 	if err != nil {
 		return MatchResult{}, err
 	}

@@ -1,16 +1,14 @@
 // Package eval implements the evaluation protocol of Section VI: the
 // trajectory-matching task with its precision (Eq. 11) and mean rank
 // (Eq. 12) metrics, the cross-similarity deviation (Eq. 13), and the
-// scoring entry points the experiments are built on — thin views over the
-// engine package's cancellable executor and prepared-trajectory cache.
+// scorers the experiments are built on. Matrix scoring runs through
+// engine.ScoreMatrix, on the engine package's cancellable executor.
 package eval
 
 import (
-	"context"
 	"math"
 
 	"github.com/stslib/sts/internal/core"
-	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/model"
 )
 
@@ -53,12 +51,11 @@ func FromDistance(name string, f func(a, b model.Trajectory) float64) Scorer {
 	}}
 }
 
-// STSScorer wraps a core.Measure, routing matrix scoring through the
-// engine so that per-trajectory preparation (personalized speed model,
-// observed-timestamp distributions) happens once per distinct trajectory
-// rather than once per pair. It implements MatrixScorer,
-// MaskedMatrixScorer, ContextMatrixScorer, engine.MeasureScorer, and
-// engine.ProfileScorer.
+// STSScorer wraps a core.Measure. It implements engine.MeasureScorer and
+// engine.ProfileScorer, so engines and engine.ScoreMatrix route its matrix
+// scoring through per-trajectory preparation (personalized speed model,
+// observed-timestamp distributions) that happens once per distinct
+// trajectory rather than once per pair.
 type STSScorer struct {
 	name    string
 	m       *core.Measure
@@ -88,8 +85,8 @@ func (s *STSScorer) Name() string { return s.name }
 func (s *STSScorer) Measure() *core.Measure { return s.m }
 
 // ProfileOptions implements engine.ProfileScorer: non-nil when the scorer
-// was built with NewSTSScorerProfiled, switching engines and matrix entry
-// points to profiled scoring.
+// was built with NewSTSScorerProfiled, switching engines and
+// engine.ScoreMatrix to profiled scoring.
 func (s *STSScorer) ProfileOptions() *core.ProfileOptions { return s.profile }
 
 // Score implements Scorer for one-off pairs, honoring the profiled mode so
@@ -115,26 +112,6 @@ func (s *STSScorer) Score(a, b model.Trajectory) (float64, error) {
 		return 0, err
 	}
 	return core.SimilarityProfiled(fa, fb)
-}
-
-// ScoreMatrixContext implements ContextMatrixScorer: a transient engine
-// prepares each distinct trajectory once and fans scoring out on the
-// shared cancellable executor.
-func (s *STSScorer) ScoreMatrixContext(ctx context.Context, rows, cols model.Dataset, mask [][]bool, workers int) ([][]float64, error) {
-	return engine.ScoreMatrix(ctx, s, rows, cols, mask, workers)
-}
-
-// ScoreMatrix implements MatrixScorer with per-trajectory preparation.
-func (s *STSScorer) ScoreMatrix(rows, cols model.Dataset, workers int) ([][]float64, error) {
-	return s.ScoreMatrixContext(context.Background(), rows, cols, nil, workers)
-}
-
-// ScoreMatrixMasked implements MaskedMatrixScorer: trajectories that
-// appear in no admissible pair are never prepared (preparation — speed
-// model estimation and observed-distribution construction — is the
-// dominant per-trajectory cost), and masked-out pairs are never scored.
-func (s *STSScorer) ScoreMatrixMasked(rows, cols model.Dataset, mask [][]bool, workers int) ([][]float64, error) {
-	return s.ScoreMatrixContext(context.Background(), rows, cols, mask, workers)
 }
 
 // sanitize maps NaN scores (which would poison rankings) to −Inf.

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
 
 	"github.com/stslib/sts/internal/core"
+	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/eval"
 	"github.com/stslib/sts/internal/geo"
 	"github.com/stslib/sts/internal/kde"
@@ -37,11 +39,11 @@ func scoreBoth(t *testing.T, sc Scenario, opts core.Options) (fast, slow [][]flo
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err = eval.ScoreMatrix(sc.D1, sc.D2, eval.NewSTSScorer("fast", fastM), 1)
+	fast, err = engine.ScoreMatrix(context.Background(), eval.NewSTSScorer("fast", fastM), sc.D1, sc.D2, nil, math.Inf(-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err = eval.ScoreMatrix(sc.D1, sc.D2, eval.NewSTSScorer("slow", slowM), 1)
+	slow, err = engine.ScoreMatrix(context.Background(), eval.NewSTSScorer("slow", slowM), sc.D1, sc.D2, nil, math.Inf(-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
+	"math"
 	"testing"
 
+	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/eval"
 )
 
@@ -18,7 +21,7 @@ func BenchmarkMatrixScoringMallFine(b *testing.B) {
 	ms := scorers[0].(*eval.STSScorer)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ms.ScoreMatrix(sc.D1, sc.D2, 1); err != nil {
+		if _, err := engine.ScoreMatrix(context.Background(), ms, sc.D1, sc.D2, nil, math.Inf(-1), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -334,7 +335,7 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 			pairs := len(sc.D1) * len(sc.D2)
 			name := fmt.Sprintf("matrix_scoring/%s/grid=%g", sc.Name, gridSize)
 			if err := add(name, pairs, func() error {
-				_, err := ms.ScoreMatrix(sc.D1, sc.D2, workers)
+				_, err := engine.ScoreMatrix(context.Background(), ms, sc.D1, sc.D2, nil, math.Inf(-1), workers)
 				return err
 			}); err != nil {
 				return err
@@ -342,7 +343,7 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 			if scale == 1 {
 				err := addScaled(name, pairs, func(nw int) (func() error, error) {
 					return func() error {
-						_, err := ms.ScoreMatrix(sc.D1, sc.D2, nw)
+						_, err := engine.ScoreMatrix(context.Background(), ms, sc.D1, sc.D2, nil, math.Inf(-1), nw)
 						return err
 					}, nil
 				})
@@ -367,7 +368,7 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 		pairs := len(sc.D1) * len(sc.D2)
 		name := fmt.Sprintf("profile_matrix/%s/grid=%g", sc.Name, sc.GridSize)
 		if err := add(name, pairs, func() error {
-			_, err := ps.ScoreMatrix(sc.D1, sc.D2, workers)
+			_, err := engine.ScoreMatrix(context.Background(), ps, sc.D1, sc.D2, nil, math.Inf(-1), workers)
 			return err
 		}); err != nil {
 			return err

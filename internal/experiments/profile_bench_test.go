@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"github.com/stslib/sts/internal/core"
+	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/eval"
 )
 
@@ -19,7 +22,7 @@ func BenchmarkProfileMatrixTaxi(b *testing.B) {
 	ps := eval.NewSTSScorerProfiled("STS-P", scorers[0].(*eval.STSScorer).Measure(), core.ProfileOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ps.ScoreMatrix(sc.D1, sc.D2, 1); err != nil {
+		if _, err := engine.ScoreMatrix(context.Background(), ps, sc.D1, sc.D2, nil, math.Inf(-1), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

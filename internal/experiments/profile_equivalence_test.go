@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"github.com/stslib/sts/internal/core"
+	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/eval"
 	"github.com/stslib/sts/internal/stprob"
 )
@@ -22,14 +24,14 @@ func profiledDeviations(t *testing.T, sc Scenario, widths []float64) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := eval.ScoreMatrix(sc.D1, sc.D2, eval.NewSTSScorer("exact", m), 1)
+	exact, err := engine.ScoreMatrix(context.Background(), eval.NewSTSScorer("exact", m), sc.D1, sc.D2, nil, math.Inf(-1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	devs := make([]float64, len(widths))
 	for k, w := range widths {
 		scorer := eval.NewSTSScorerProfiled("profiled", m, core.ProfileOptions{BucketSeconds: w})
-		prof, err := eval.ScoreMatrix(sc.D1, sc.D2, scorer, 1)
+		prof, err := engine.ScoreMatrix(context.Background(), scorer, sc.D1, sc.D2, nil, math.Inf(-1), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -171,11 +171,11 @@ func TestScoreMatrixMinEquivalence(t *testing.T) {
 		return ms.Score(a, b)
 	}}
 	const floor = 0.02
-	pruned, err := eval.ScoreMatrixMin(sc.D1, sc.D2, ms, nil, floor, 2)
+	pruned, err := engine.ScoreMatrix(context.Background(), ms, sc.D1, sc.D2, nil, floor, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := eval.ScoreMatrixMin(sc.D1, sc.D2, generic, nil, floor, 2)
+	plain, err := engine.ScoreMatrix(context.Background(), generic, sc.D1, sc.D2, nil, floor, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/eval"
 	"github.com/stslib/sts/internal/model"
 )
@@ -30,11 +31,14 @@ func OptimalLinkContext(ctx context.Context, d1, d2 model.Dataset, scorer eval.S
 	if len(d1) == 0 || len(d2) == 0 {
 		return nil, ErrEmptyInput
 	}
-	minGap := opts.MinGap
-	if opts.MaxSpeed > 0 && minGap <= 0 {
-		minGap = 1
+	// The FTL mask is built before scoring, so infeasible pairs are never
+	// scored; they come back −Inf, as do pairs floored by a positive
+	// MinScore, and the veto below drops both.
+	mask, err := feasibilityMask(ctx, d1, d2, opts)
+	if err != nil {
+		return nil, fmt.Errorf("linking: %w", err)
 	}
-	scores, err := eval.ScoreMatrixContext(ctx, d1, d2, scorer, opts.Workers)
+	scores, err := engine.ScoreMatrix(ctx, scorer, d1, d2, mask, scoreFloor(opts), opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("linking: %w", err)
 	}
@@ -45,12 +49,7 @@ func OptimalLinkContext(ctx context.Context, d1, d2 model.Dataset, scorer eval.S
 	for i := range util {
 		util[i] = make([]float64, m)
 		for j := range util[i] {
-			s := scores[i][j]
-			ok := s >= opts.MinScore && !math.IsInf(s, -1)
-			if ok && opts.MaxSpeed > 0 {
-				ok = Feasible(d1[i], d2[j], opts.MaxSpeed, minGap)
-			}
-			if ok {
+			if s := scores[i][j]; s >= opts.MinScore && !math.IsInf(s, -1) {
 				util[i][j] = s
 			} else {
 				util[i][j] = -veto

@@ -200,3 +200,30 @@ func TestOptimalLinkRespectsVetoes(t *testing.T) {
 		t.Error("empty input accepted")
 	}
 }
+
+func TestOptimalLinkDoesNotScoreInfeasiblePairs(t *testing.T) {
+	// The FTL mask is built before scoring: the pair 1 km away fails the
+	// 10 m/s feasibility check and must never reach the scorer.
+	d1 := model.Dataset{walkAt("a", geo.Point{Y: 0}, 0, 0, 10)}
+	far := model.Trajectory{ID: "far", Samples: []model.Sample{
+		{Loc: geo.Point{X: 1000}, T: 1},
+		{Loc: geo.Point{X: 1000}, T: 11},
+	}}
+	near := walkAt("near", geo.Point{Y: 1}, 0, 5, 15)
+	d2 := model.Dataset{far, near}
+	scored := 0
+	counter := eval.FuncScorer{N: "count", F: func(a, b model.Trajectory) (float64, error) {
+		scored++
+		return 1, nil
+	}}
+	links, err := OptimalLink(d1, d2, counter, Options{MaxSpeed: 10, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scored != 1 {
+		t.Errorf("scored %d pairs, want 1 (the feasible one)", scored)
+	}
+	if len(links) != 1 || links[0].J != 1 {
+		t.Errorf("links=%v want the near pair", links)
+	}
+}

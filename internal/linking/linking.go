@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/stslib/sts/internal/engine"
@@ -129,48 +130,32 @@ func GreedyLink(d1, d2 model.Dataset, scorer eval.Scorer, opts Options) ([]Link,
 	return GreedyLinkContext(context.Background(), d1, d2, scorer, opts)
 }
 
-// GreedyLinkContext is GreedyLink with cancellation: the feasibility
-// pre-filter and the scoring matrix both run on the engine executor, so
-// cancelling ctx aborts the linking promptly at either stage.
+// GreedyLinkContext is GreedyLink with cancellation: it is GreedyLinkBatch
+// over the one-shot engine.ScoreMatrix, so the feasibility pre-filter and
+// the scoring matrix both run on the engine executor, and cancelling ctx
+// aborts the linking promptly at either stage.
 func GreedyLinkContext(ctx context.Context, d1, d2 model.Dataset, scorer eval.Scorer, opts Options) ([]Link, error) {
-	if len(d1) == 0 || len(d2) == 0 {
-		return nil, ErrEmptyInput
-	}
-	mask, err := feasibilityMask(ctx, d1, d2, opts)
-	if err != nil {
-		return nil, fmt.Errorf("linking: %w", err)
-	}
-	var scores [][]float64
-	if opts.MinScore > 0 {
-		// The rejection threshold doubles as a pruning floor: pairs provably
-		// below it collapse to −Inf without full scoring, and greedySelect
-		// drops them exactly as it would drop their sub-threshold scores.
-		scores, err = eval.ScoreMatrixMinContext(ctx, d1, d2, scorer, mask, opts.MinScore, opts.Workers)
-	} else {
-		scores, err = eval.ScoreMatrixMaskedContext(ctx, d1, d2, scorer, mask, opts.Workers)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("linking: %w", err)
-	}
-	return greedySelect(scores, mask, opts.MinScore), nil
+	return GreedyLinkBatch(ctx, oneShot{scorer: scorer, workers: opts.Workers}, d1, d2, opts)
 }
 
-// Batcher scores rows × cols under a mask on some execution substrate.
-// *engine.Engine implements it; GreedyLinkBatch uses it so a long-lived
-// server links through the engine's prepared/profile LRU caches instead of
-// re-preparing every trajectory per request.
+// Batcher scores rows × cols under a mask and a score floor on some
+// execution substrate. *engine.Engine and *engine.Sharded implement it;
+// GreedyLinkBatch uses it so a long-lived server links through the
+// engine's prepared/profile LRU caches instead of re-preparing every
+// trajectory per request.
 type Batcher interface {
-	ScoreBatch(ctx context.Context, rows, cols model.Dataset, mask [][]bool) ([][]float64, error)
+	ScoreBatchMin(ctx context.Context, rows, cols model.Dataset, mask [][]bool, minScore float64) ([][]float64, error)
 }
 
-// MinBatcher is an optional Batcher extension for substrates that can
-// enforce a score floor while scoring — *engine.Engine implements it with
-// the filter-and-refine matrix. GreedyLinkBatch routes a positive MinScore
-// through it so sub-threshold pairs are pruned instead of fully scored;
-// the links produced are identical either way.
-type MinBatcher interface {
-	Batcher
-	ScoreBatchMin(ctx context.Context, rows, cols model.Dataset, mask [][]bool, minScore float64) ([][]float64, error)
+// oneShot is the Batcher behind GreedyLinkContext: the per-call matrix of
+// engine.ScoreMatrix, with no cache outliving the call.
+type oneShot struct {
+	scorer  eval.Scorer
+	workers int
+}
+
+func (o oneShot) ScoreBatchMin(ctx context.Context, rows, cols model.Dataset, mask [][]bool, minScore float64) ([][]float64, error) {
+	return engine.ScoreMatrix(ctx, o.scorer, rows, cols, mask, minScore, o.workers)
 }
 
 // GreedyLinkBatch is GreedyLinkContext with the scoring delegated to a
@@ -186,16 +171,22 @@ func GreedyLinkBatch(ctx context.Context, b Batcher, d1, d2 model.Dataset, opts 
 	if err != nil {
 		return nil, fmt.Errorf("linking: %w", err)
 	}
-	var scores [][]float64
-	if mb, ok := b.(MinBatcher); ok && opts.MinScore > 0 {
-		scores, err = mb.ScoreBatchMin(ctx, d1, d2, mask, opts.MinScore)
-	} else {
-		scores, err = b.ScoreBatch(ctx, d1, d2, mask)
-	}
+	scores, err := b.ScoreBatchMin(ctx, d1, d2, mask, scoreFloor(opts))
 	if err != nil {
 		return nil, fmt.Errorf("linking: %w", err)
 	}
 	return greedySelect(scores, mask, opts.MinScore), nil
+}
+
+// scoreFloor is the floor a linker scores its matrix against: a positive
+// rejection threshold doubles as a pruning floor (pairs provably below it
+// collapse to −Inf without full scoring, and both linkers drop them exactly
+// as they would drop their sub-threshold scores); otherwise none.
+func scoreFloor(opts Options) float64 {
+	if opts.MinScore > 0 {
+		return opts.MinScore
+	}
+	return math.Inf(-1)
 }
 
 // greedySelect turns a scored (and optionally masked) matrix into a

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,7 +107,7 @@ func (m *metrics) render(w io.Writer, eng engine.Service, reg *stream.Registry) 
 	m.mu.Unlock()
 	sort.Strings(names)
 
-	fmt.Fprint(w, "# HELP sts_requests_total Requests served, by route and status code.\n# TYPE sts_requests_total counter\n")
+	var requests, latency []sample
 	for _, name := range names {
 		rm := m.route(name)
 		rm.mu.Lock()
@@ -116,110 +117,67 @@ func (m *metrics) render(w io.Writer, eng engine.Service, reg *stream.Registry) 
 		}
 		sort.Ints(codes)
 		for _, c := range codes {
-			fmt.Fprintf(w, "sts_requests_total{route=%q,code=%q} %d\n", name, strconv.Itoa(c), rm.codes[c])
+			requests = append(requests, sample{labels: labels("route", name, "code", strconv.Itoa(c)), value: rm.codes[c]})
 		}
+		latency = append(latency, histogram("route", name, stream.HistogramSnapshot{
+			Bounds: latencyBuckets, Counts: rm.buckets, Overflow: rm.overflw,
+			Sum: float64(rm.sumNs) / 1e9, Count: rm.count,
+		})...)
 		rm.mu.Unlock()
 	}
 
-	fmt.Fprint(w, "# HELP sts_request_seconds Request latency, by route.\n# TYPE sts_request_seconds histogram\n")
-	for _, name := range names {
-		rm := m.route(name)
-		rm.mu.Lock()
-		cum := uint64(0)
-		for i, le := range latencyBuckets {
-			cum += rm.buckets[i]
-			fmt.Fprintf(w, "sts_request_seconds_bucket{route=%q,le=%q} %d\n", name, formatFloat(le), cum)
-		}
-		cum += rm.overflw
-		fmt.Fprintf(w, "sts_request_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(w, "sts_request_seconds_sum{route=%q} %s\n", name, formatFloat(float64(rm.sumNs)/1e9))
-		fmt.Fprintf(w, "sts_request_seconds_count{route=%q} %d\n", name, rm.count)
-		rm.mu.Unlock()
+	ss, ps := eng.StoreStats(), eng.PruneStats()
+	shard := func(sh engine.ShardStat) string { return strconv.Itoa(sh.Shard) }
+	perShard := func(total any, v func(engine.ShardStat) any) []sample {
+		return rollup(total, "shard", shards, shard, v)
 	}
-
-	fmt.Fprint(w, "# HELP sts_inflight_requests Requests currently being served.\n# TYPE sts_inflight_requests gauge\n")
-	fmt.Fprintf(w, "sts_inflight_requests %d\n", m.inflight.Load())
-	fmt.Fprint(w, "# HELP sts_rejected_total Requests shed by the admission limiter (429s).\n# TYPE sts_rejected_total counter\n")
-	fmt.Fprintf(w, "sts_rejected_total %d\n", m.rejected.Load())
-
-	fmt.Fprint(w, "# HELP sts_corpus_size Trajectories in the engine corpus.\n# TYPE sts_corpus_size gauge\n")
-	fmt.Fprintf(w, "sts_corpus_size %d\n", eng.Len())
-
-	ss := eng.StoreStats()
-	fmt.Fprint(w, "# HELP sts_store_resident_bytes Arena bytes resident in the columnar corpus store (live records plus dead slack awaiting GC).\n# TYPE sts_store_resident_bytes gauge\n")
-	fmt.Fprintf(w, "sts_store_resident_bytes %d\n", ss.ArenaBytes)
-	for _, sh := range shards {
-		fmt.Fprintf(w, "sts_store_resident_bytes{shard=%q} %d\n", strconv.Itoa(sh.Shard), sh.Store.ArenaBytes)
-	}
-	fmt.Fprint(w, "# HELP sts_store_live_bytes Live encoded-record bytes in the columnar corpus store.\n# TYPE sts_store_live_bytes gauge\n")
-	fmt.Fprintf(w, "sts_store_live_bytes %d\n", ss.LiveBytes)
-	fmt.Fprint(w, "# HELP sts_wal_bytes Current write-ahead-log segment size (0 without persistence).\n# TYPE sts_wal_bytes gauge\n")
-	fmt.Fprintf(w, "sts_wal_bytes %d\n", ss.WALBytes)
-	fmt.Fprint(w, "# HELP sts_snapshot_total Store snapshots taken since open.\n# TYPE sts_snapshot_total counter\n")
-	fmt.Fprintf(w, "sts_snapshot_total %d\n", ss.Snapshots)
-	fmt.Fprint(w, "# HELP sts_snapshot_errors_total Store snapshot attempts that failed.\n# TYPE sts_snapshot_errors_total counter\n")
-	fmt.Fprintf(w, "sts_snapshot_errors_total %d\n", ss.SnapshotErrors)
-	fmt.Fprint(w, "# HELP sts_recovery_seconds Duration of the boot-time recovery (snapshot load + WAL replay).\n# TYPE sts_recovery_seconds gauge\n")
-	fmt.Fprintf(w, "sts_recovery_seconds %s\n", formatFloat(ss.RecoverySeconds))
-	fmt.Fprint(w, "# HELP sts_cache_warm_loaded_total Profiles warm-loaded from the derived-state sidecar at recovery.\n# TYPE sts_cache_warm_loaded_total counter\n")
-	fmt.Fprintf(w, "sts_cache_warm_loaded_total %d\n", ss.WarmProfiles)
-	fmt.Fprint(w, "# HELP sts_recovery_warm_seconds Duration of the sidecar warm load during recovery.\n# TYPE sts_recovery_warm_seconds gauge\n")
-	fmt.Fprintf(w, "sts_recovery_warm_seconds %s\n", formatFloat(ss.WarmSeconds))
-	fmt.Fprint(w, "# HELP sts_sidecar_writes_total Derived-state sidecar files written at snapshots.\n# TYPE sts_sidecar_writes_total counter\n")
-	fmt.Fprintf(w, "sts_sidecar_writes_total %d\n", ss.SidecarWrites)
-	fmt.Fprint(w, "# HELP sts_sidecar_errors_total Derived-state sidecar write attempts that failed.\n# TYPE sts_sidecar_errors_total counter\n")
-	fmt.Fprintf(w, "sts_sidecar_errors_total %d\n", ss.SidecarErrors)
-
-	ps := eng.PruneStats()
-	fmt.Fprint(w, "# HELP sts_prune_considered_total Candidate pairs entering pruned (filter-and-refine) queries.\n# TYPE sts_prune_considered_total counter\n")
-	fmt.Fprintf(w, "sts_prune_considered_total %d\n", ps.Considered)
-	for _, sh := range shards {
-		fmt.Fprintf(w, "sts_prune_considered_total{shard=%q} %d\n", strconv.Itoa(sh.Shard), sh.Prune.Considered)
-	}
-	fmt.Fprint(w, "# HELP sts_prune_ub_pruned_total Candidates decided by the admissible upper bound alone.\n# TYPE sts_prune_ub_pruned_total counter\n")
-	fmt.Fprintf(w, "sts_prune_ub_pruned_total %d\n", ps.BoundPruned)
-	for _, sh := range shards {
-		fmt.Fprintf(w, "sts_prune_ub_pruned_total{shard=%q} %d\n", strconv.Itoa(sh.Shard), sh.Prune.BoundPruned)
-	}
-	fmt.Fprint(w, "# HELP sts_prune_early_exit_total Refinements abandoned once the threshold became unreachable.\n# TYPE sts_prune_early_exit_total counter\n")
-	fmt.Fprintf(w, "sts_prune_early_exit_total %d\n", ps.EarlyExited)
-	for _, sh := range shards {
-		fmt.Fprintf(w, "sts_prune_early_exit_total{shard=%q} %d\n", strconv.Itoa(sh.Shard), sh.Prune.EarlyExited)
-	}
-	fmt.Fprint(w, "# HELP sts_prune_refined_total Refinements scored to completion.\n# TYPE sts_prune_refined_total counter\n")
-	fmt.Fprintf(w, "sts_prune_refined_total %d\n", ps.Refined)
-	for _, sh := range shards {
-		fmt.Fprintf(w, "sts_prune_refined_total{shard=%q} %d\n", strconv.Itoa(sh.Shard), sh.Prune.Refined)
-	}
-
-	kinds := []struct {
+	type kind struct {
 		name  string
 		stats engine.CacheStats
-	}{{"prepared", eng.CacheStats()}, {"profile", eng.ProfileCacheStats()}}
-	fmt.Fprint(w, "# HELP sts_cache_hits_total Derived-state cache hits, by cache kind.\n# TYPE sts_cache_hits_total counter\n")
-	for _, k := range kinds {
-		fmt.Fprintf(w, "sts_cache_hits_total{cache=%q} %d\n", k.name, k.stats.Hits)
 	}
-	fmt.Fprint(w, "# HELP sts_cache_misses_total Derived-state cache misses, by cache kind.\n# TYPE sts_cache_misses_total counter\n")
-	for _, k := range kinds {
-		fmt.Fprintf(w, "sts_cache_misses_total{cache=%q} %d\n", k.name, k.stats.Misses)
+	kinds := []kind{{"prepared", eng.CacheStats()}, {"profile", eng.ProfileCacheStats()}}
+	byKind := func(v func(engine.CacheStats) any) []sample {
+		return rollup(nil, "cache", kinds, func(k kind) string { return k.name }, func(k kind) any { return v(k.stats) })
 	}
-	fmt.Fprint(w, "# HELP sts_cache_evictions_total Derived-state cache evictions, by cache kind.\n# TYPE sts_cache_evictions_total counter\n")
-	for _, k := range kinds {
-		fmt.Fprintf(w, "sts_cache_evictions_total{cache=%q} %d\n", k.name, k.stats.Evictions)
-	}
-	fmt.Fprint(w, "# HELP sts_cache_size Cached derived-state entries, by cache kind.\n# TYPE sts_cache_size gauge\n")
-	for _, k := range kinds {
-		fmt.Fprintf(w, "sts_cache_size{cache=%q} %d\n", k.name, k.stats.Size)
-	}
-	fmt.Fprint(w, "# HELP sts_cache_hit_ratio Cache hit ratio since process start, by cache kind.\n# TYPE sts_cache_hit_ratio gauge\n")
-	for _, k := range kinds {
-		fmt.Fprintf(w, "sts_cache_hit_ratio{cache=%q} %s\n", k.name, formatFloat(k.stats.HitRate()))
-	}
-	fmt.Fprint(w, "# HELP sts_cache_resident_bytes Estimated heap bytes held by cached derived state, by cache kind.\n# TYPE sts_cache_resident_bytes gauge\n")
-	for _, k := range kinds {
-		fmt.Fprintf(w, "sts_cache_resident_bytes{cache=%q} %d\n", k.name, k.stats.Bytes)
-	}
+
+	writeFamilies(w, []family{
+		{"sts_requests_total", "counter", "Requests served, by route and status code.", requests},
+		{"sts_request_seconds", "histogram", "Request latency, by route.", latency},
+		{"sts_inflight_requests", "gauge", "Requests currently being served.", single(m.inflight.Load())},
+		{"sts_rejected_total", "counter", "Requests shed by the admission limiter (429s).", single(m.rejected.Load())},
+		{"sts_corpus_size", "gauge", "Trajectories in the engine corpus.", single(eng.Len())},
+		{"sts_store_resident_bytes", "gauge", "Arena bytes resident in the columnar corpus store (live records plus dead slack awaiting GC).",
+			perShard(ss.ArenaBytes, func(sh engine.ShardStat) any { return sh.Store.ArenaBytes })},
+		{"sts_store_live_bytes", "gauge", "Live encoded-record bytes in the columnar corpus store.", single(ss.LiveBytes)},
+		{"sts_wal_bytes", "gauge", "Current write-ahead-log segment size (0 without persistence).", single(ss.WALBytes)},
+		{"sts_snapshot_total", "counter", "Store snapshots taken since open.", single(ss.Snapshots)},
+		{"sts_snapshot_errors_total", "counter", "Store snapshot attempts that failed.", single(ss.SnapshotErrors)},
+		{"sts_recovery_seconds", "gauge", "Duration of the boot-time recovery (snapshot load + WAL replay).", single(ss.RecoverySeconds)},
+		{"sts_cache_warm_loaded_total", "counter", "Profiles warm-loaded from the derived-state sidecar at recovery.", single(ss.WarmProfiles)},
+		{"sts_recovery_warm_seconds", "gauge", "Duration of the sidecar warm load during recovery.", single(ss.WarmSeconds)},
+		{"sts_sidecar_writes_total", "counter", "Derived-state sidecar files written at snapshots.", single(ss.SidecarWrites)},
+		{"sts_sidecar_errors_total", "counter", "Derived-state sidecar write attempts that failed.", single(ss.SidecarErrors)},
+		{"sts_prune_considered_total", "counter", "Candidate pairs entering pruned (filter-and-refine) queries.",
+			perShard(ps.Considered, func(sh engine.ShardStat) any { return sh.Prune.Considered })},
+		{"sts_prune_ub_pruned_total", "counter", "Candidates decided by the admissible upper bound alone.",
+			perShard(ps.BoundPruned, func(sh engine.ShardStat) any { return sh.Prune.BoundPruned })},
+		{"sts_prune_early_exit_total", "counter", "Refinements abandoned once the threshold became unreachable.",
+			perShard(ps.EarlyExited, func(sh engine.ShardStat) any { return sh.Prune.EarlyExited })},
+		{"sts_prune_refined_total", "counter", "Refinements scored to completion.",
+			perShard(ps.Refined, func(sh engine.ShardStat) any { return sh.Prune.Refined })},
+		{"sts_cache_hits_total", "counter", "Derived-state cache hits, by cache kind.",
+			byKind(func(c engine.CacheStats) any { return c.Hits })},
+		{"sts_cache_misses_total", "counter", "Derived-state cache misses, by cache kind.",
+			byKind(func(c engine.CacheStats) any { return c.Misses })},
+		{"sts_cache_evictions_total", "counter", "Derived-state cache evictions, by cache kind.",
+			byKind(func(c engine.CacheStats) any { return c.Evictions })},
+		{"sts_cache_size", "gauge", "Cached derived-state entries, by cache kind.",
+			byKind(func(c engine.CacheStats) any { return c.Size })},
+		{"sts_cache_hit_ratio", "gauge", "Cache hit ratio since process start, by cache kind.",
+			byKind(func(c engine.CacheStats) any { return c.HitRate() })},
+		{"sts_cache_resident_bytes", "gauge", "Estimated heap bytes held by cached derived state, by cache kind.",
+			byKind(func(c engine.CacheStats) any { return c.Bytes })},
+	})
 
 	if reg != nil {
 		renderStream(w, reg.Stats())
@@ -232,56 +190,110 @@ func (m *metrics) render(w io.Writer, eng engine.Service, reg *stream.Registry) 
 // delivery counters additionally export one watch-labeled series per
 // standing query next to the unlabeled rollup.
 func renderStream(w io.Writer, st stream.Stats) {
-	fmt.Fprint(w, "# HELP sts_append_total Sample-level trajectory appends evaluated by the streaming subsystem.\n# TYPE sts_append_total counter\n")
-	fmt.Fprintf(w, "sts_append_total %d\n", st.Appends)
-	fmt.Fprint(w, "# HELP sts_append_samples_total Samples ingested through appends.\n# TYPE sts_append_samples_total counter\n")
-	fmt.Fprintf(w, "sts_append_samples_total %d\n", st.AppendedSamples)
+	perWatch := func(total any, v func(stream.WatchStats) any) []sample {
+		return rollup(total, "watch", st.Watches, func(ws stream.WatchStats) string { return ws.Name }, v)
+	}
+	writeFamilies(w, []family{
+		{"sts_append_total", "counter", "Sample-level trajectory appends evaluated by the streaming subsystem.", single(st.Appends)},
+		{"sts_append_samples_total", "counter", "Samples ingested through appends.", single(st.AppendedSamples)},
+		{"sts_watches", "gauge", "Standing co-location queries registered.", single(len(st.Watches))},
+		{"sts_standing_evals_total", "counter", "Standing-query evaluations run against appended trajectories.", single(st.Evals)},
+		{"sts_standing_pairs_total", "counter", "Candidate pairs scored by standing evaluations.", single(st.Pairs)},
+		{"sts_standing_subthreshold_total", "counter", "Standing-query pairs disposed of below theta (upper-bound pruned or refined under it).", single(st.Subthreshold)},
+		{"sts_alerts_total", "counter", "Standing-query alerts fired, by watch.",
+			perWatch(st.Alerts, func(ws stream.WatchStats) any { return ws.Alerts })},
+		{"sts_alerts_suppressed_total", "counter", "Threshold crossings silenced by the per-pair alert debounce, by watch.",
+			perWatch(st.Suppressed, func(ws stream.WatchStats) any { return ws.Suppressed })},
+		{"sts_alert_delivered_total", "counter", "Alerts delivered to their webhook, by watch.",
+			perWatch(st.Delivered, func(ws stream.WatchStats) any { return ws.Delivered })},
+		{"sts_alert_retries_total", "counter", "Webhook delivery retries.", single(st.Retries)},
+		{"sts_alert_dead_letter_total", "counter", "Alerts abandoned after exhausting delivery attempts, by watch.",
+			perWatch(st.DeadLettered, func(ws stream.WatchStats) any { return ws.DeadLettered })},
+		{"sts_alert_dropped_total", "counter", "Alerts shed because a delivery queue was full.", single(st.Dropped)},
+		{"sts_standing_eval_seconds", "histogram", "Standing-query evaluation latency per append.", histogram("", "", st.EvalSeconds)},
+	})
+}
 
-	fmt.Fprint(w, "# HELP sts_watches Standing co-location queries registered.\n# TYPE sts_watches gauge\n")
-	fmt.Fprintf(w, "sts_watches %d\n", len(st.Watches))
-	fmt.Fprint(w, "# HELP sts_standing_evals_total Standing-query evaluations run against appended trajectories.\n# TYPE sts_standing_evals_total counter\n")
-	fmt.Fprintf(w, "sts_standing_evals_total %d\n", st.Evals)
-	fmt.Fprint(w, "# HELP sts_standing_pairs_total Candidate pairs scored by standing evaluations.\n# TYPE sts_standing_pairs_total counter\n")
-	fmt.Fprintf(w, "sts_standing_pairs_total %d\n", st.Pairs)
-	fmt.Fprint(w, "# HELP sts_standing_subthreshold_total Standing-query pairs disposed of below theta (upper-bound pruned or refined under it).\n# TYPE sts_standing_subthreshold_total counter\n")
-	fmt.Fprintf(w, "sts_standing_subthreshold_total %d\n", st.Subthreshold)
+// family is one metric family of the exposition: its name, TYPE and HELP
+// headers, and its samples.
+type family struct {
+	name, typ, help string
+	samples         []sample
+}
 
-	fmt.Fprint(w, "# HELP sts_alerts_total Standing-query alerts fired, by watch.\n# TYPE sts_alerts_total counter\n")
-	fmt.Fprintf(w, "sts_alerts_total %d\n", st.Alerts)
-	for _, ws := range st.Watches {
-		fmt.Fprintf(w, "sts_alerts_total{watch=%q} %d\n", ws.Name, ws.Alerts)
-	}
-	fmt.Fprint(w, "# HELP sts_alerts_suppressed_total Threshold crossings silenced by the per-pair alert debounce, by watch.\n# TYPE sts_alerts_suppressed_total counter\n")
-	fmt.Fprintf(w, "sts_alerts_suppressed_total %d\n", st.Suppressed)
-	for _, ws := range st.Watches {
-		fmt.Fprintf(w, "sts_alerts_suppressed_total{watch=%q} %d\n", ws.Name, ws.Suppressed)
-	}
-	fmt.Fprint(w, "# HELP sts_alert_delivered_total Alerts delivered to their webhook, by watch.\n# TYPE sts_alert_delivered_total counter\n")
-	fmt.Fprintf(w, "sts_alert_delivered_total %d\n", st.Delivered)
-	for _, ws := range st.Watches {
-		fmt.Fprintf(w, "sts_alert_delivered_total{watch=%q} %d\n", ws.Name, ws.Delivered)
-	}
-	fmt.Fprint(w, "# HELP sts_alert_retries_total Webhook delivery retries.\n# TYPE sts_alert_retries_total counter\n")
-	fmt.Fprintf(w, "sts_alert_retries_total %d\n", st.Retries)
-	fmt.Fprint(w, "# HELP sts_alert_dead_letter_total Alerts abandoned after exhausting delivery attempts, by watch.\n# TYPE sts_alert_dead_letter_total counter\n")
-	fmt.Fprintf(w, "sts_alert_dead_letter_total %d\n", st.DeadLettered)
-	for _, ws := range st.Watches {
-		fmt.Fprintf(w, "sts_alert_dead_letter_total{watch=%q} %d\n", ws.Name, ws.DeadLettered)
-	}
-	fmt.Fprint(w, "# HELP sts_alert_dropped_total Alerts shed because a delivery queue was full.\n# TYPE sts_alert_dropped_total counter\n")
-	fmt.Fprintf(w, "sts_alert_dropped_total %d\n", st.Dropped)
+// sample is one exposition line: the family name plus suffix (a
+// histogram's _bucket/_sum/_count), a rendered label set, and a value
+// printed with %v — integers in decimal, floats the shortest way that
+// round-trips, as Prometheus expects.
+type sample struct {
+	suffix string
+	labels string
+	value  any
+}
 
-	fmt.Fprint(w, "# HELP sts_standing_eval_seconds Standing-query evaluation latency per append.\n# TYPE sts_standing_eval_seconds histogram\n")
-	h := st.EvalSeconds
+// writeFamilies renders families in order, each as its HELP and TYPE
+// headers followed by its samples.
+func writeFamilies(w io.Writer, fams []family) {
+	for _, f := range fams {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		for _, s := range f.samples {
+			fmt.Fprintf(w, "%s%s%s %v\n", f.name, s.suffix, s.labels, s.value)
+		}
+	}
+}
+
+// single is a family's one unlabeled sample.
+func single(v any) []sample { return []sample{{value: v}} }
+
+// rollup is the rollup-plus-labeled shape: the unlabeled total (omitted
+// when nil), then one sample per part labeled key=name(part).
+func rollup[P any](total any, key string, parts []P, name func(P) string, value func(P) any) []sample {
+	var out []sample
+	if total != nil {
+		out = append(out, sample{value: total})
+	}
+	for _, p := range parts {
+		out = append(out, sample{labels: labels(key, name(p)), value: value(p)})
+	}
+	return out
+}
+
+// histogram is the histogram shape for one series, labeled key=name when
+// key is non-empty: cumulative _bucket samples per bound and +Inf, then
+// _sum and _count.
+func histogram(key, name string, h stream.HistogramSnapshot) []sample {
+	var kv []string
+	if key != "" {
+		kv = []string{key, name}
+	}
+	out := make([]sample, 0, len(h.Bounds)+3)
 	cum := uint64(0)
 	for i, le := range h.Bounds {
 		cum += h.Counts[i]
-		fmt.Fprintf(w, "sts_standing_eval_seconds_bucket{le=%q} %d\n", formatFloat(le), cum)
+		out = append(out, sample{suffix: "_bucket", labels: labels(append(kv, "le", formatFloat(le))...), value: cum})
 	}
 	cum += h.Overflow
-	fmt.Fprintf(w, "sts_standing_eval_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "sts_standing_eval_seconds_sum %s\n", formatFloat(h.Sum))
-	fmt.Fprintf(w, "sts_standing_eval_seconds_count %d\n", h.Count)
+	return append(out,
+		sample{suffix: "_bucket", labels: labels(append(kv, "le", "+Inf")...), value: cum},
+		sample{suffix: "_sum", labels: labels(kv...), value: h.Sum},
+		sample{suffix: "_count", labels: labels(kv...), value: h.Count})
+}
+
+// labels renders key/value pairs as a {k="v",...} label set ("" for none).
+func labels(kv ...string) string {
+	if len(kv) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteByte('{')
+	for i := 0; i < len(kv); i += 2 {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%q", kv[i], kv[i+1])
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 func (m *metrics) route(name string) *routeMetrics {

@@ -102,53 +102,32 @@ func (s *Store) writeSidecar(refs []Ref) {
 	for _, ref := range refs {
 		byID[ref.ID] = ref
 	}
-	final := filepath.Join(s.pers.dir, sidecarName)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		s.pers.sidecarErrs.Add(1)
-		s.log.Warn("store: sidecar write failed", "err", err)
-		return
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	var payload, frame []byte
-	frame = appendFrame(frame[:0], []byte{sidecarVersion})
-	_, err = bw.Write(frame)
 	written := 0
-	for _, e := range entries {
-		if err != nil {
-			break
+	err := PublishFile(filepath.Join(s.pers.dir, sidecarName), func(w io.Writer) error {
+		var payload, frame []byte
+		frame = appendFrame(frame[:0], []byte{sidecarVersion})
+		if _, err := w.Write(frame); err != nil {
+			return err
 		}
-		ref, ok := byID[e.ID]
-		if !ok || ref.Gen != e.Gen || len(e.Blob) == 0 {
-			continue // cache entry is stale against the captured corpus
+		for _, e := range entries {
+			ref, ok := byID[e.ID]
+			if !ok || ref.Gen != e.Gen || len(e.Blob) == 0 {
+				continue // cache entry is stale against the captured corpus
+			}
+			payload = payload[:0]
+			payload = appendUvarintBytes(payload, e.ID)
+			payload = binary.AppendUvarint(payload, uint64(ref.N))
+			payload = binary.LittleEndian.AppendUint32(payload, crc32.Checksum(ref.blob, castagnoli))
+			payload = append(payload, e.Blob...)
+			frame = appendFrame(frame[:0], payload)
+			if _, err := w.Write(frame); err != nil {
+				return err
+			}
+			written++
 		}
-		payload = payload[:0]
-		payload = appendUvarintBytes(payload, e.ID)
-		payload = binary.AppendUvarint(payload, uint64(ref.N))
-		payload = binary.LittleEndian.AppendUint32(payload, crc32.Checksum(ref.blob, castagnoli))
-		payload = append(payload, e.Blob...)
-		frame = appendFrame(frame[:0], payload)
-		_, err = bw.Write(frame)
-		written++
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, final)
-	}
-	if err == nil {
-		err = syncDir(s.pers.dir)
-	}
+		return nil
+	})
 	if err != nil {
-		os.Remove(tmp)
 		s.pers.sidecarErrs.Add(1)
 		s.log.Warn("store: sidecar write failed", "err", err)
 		return

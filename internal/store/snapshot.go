@@ -177,19 +177,10 @@ func writeManifest(dir string, m manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	return PublishFile(filepath.Join(dir, manifestName), func(w io.Writer) error {
+		_, err := w.Write(raw)
 		return err
-	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		f.Sync()
-		f.Close()
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	})
 }
 
 // walSegments lists dir's WAL segment paths with sequence >= minSeq in
@@ -369,45 +360,24 @@ func (s *Store) Snapshot() error {
 
 // writeSnapshot durably writes snapshot-seq via a temp file + rename.
 func writeSnapshot(dir string, seq uint64, refs []Ref) error {
-	final := snapshotPath(dir, seq)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	err := PublishFile(snapshotPath(dir, seq), func(w io.Writer) error {
+		var payload, frame []byte
+		for _, ref := range refs {
+			payload = payload[:0]
+			payload = append(payload, opAdd)
+			payload = appendUvarintBytes(payload, ref.ID)
+			payload = append(payload, ref.blob...)
+			frame = appendFrame(frame[:0], payload)
+			if _, err := w.Write(frame); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("store: write snapshot: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	var payload, frame []byte
-	for _, ref := range refs {
-		payload = payload[:0]
-		payload = append(payload, opAdd)
-		payload = appendUvarintBytes(payload, ref.ID)
-		payload = append(payload, ref.blob...)
-		frame = appendFrame(frame[:0], payload)
-		if _, err := bw.Write(frame); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("store: write snapshot: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: publish snapshot: %w", err)
-	}
-	return syncDir(dir)
+	return nil
 }
 
 // appendUvarintBytes appends a uvarint length prefix and the string bytes.

@@ -273,6 +273,38 @@ func createDurable(path string) (*os.File, error) {
 	return f, nil
 }
 
+// PublishFile durably replaces path with the bytes write produces: it
+// writes a sibling temp file through a buffer, flushes, fsyncs and closes
+// it, renames it over path and fsyncs the directory, so a crash leaves
+// either the old file or the new one. Every step's error is returned, and
+// on any failure before the rename the temp file is removed.
+func PublishFile(path string, write func(w io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(f, 1<<20)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

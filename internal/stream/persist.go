@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+
+	"github.com/stslib/sts/internal/store"
 )
 
 // watchFileName is the persisted watch-configuration file inside
@@ -38,9 +41,10 @@ func loadWatches(dir string) ([]Watch, error) {
 	return f.Watches, nil
 }
 
-// persistLocked writes the current watch set to Dir/watches.json via
-// tmp+rename (with fsync), so a crash mid-write leaves the previous file
-// intact. Callers hold r.mu. A registry without a Dir persists nothing.
+// persistLocked durably replaces Dir/watches.json with the current watch
+// set (store.PublishFile), so a crash mid-write leaves the previous file
+// intact and a failed fsync fails the call. Callers hold r.mu. A registry
+// without a Dir persists nothing.
 func (r *Registry) persistLocked() error {
 	if r.opts.Dir == "" {
 		return nil
@@ -57,21 +61,11 @@ func (r *Registry) persistLocked() error {
 	if err := os.MkdirAll(r.opts.Dir, 0o755); err != nil {
 		return fmt.Errorf("stream: %w", err)
 	}
-	path := filepath.Join(r.opts.Dir, watchFileName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
+	if err := store.PublishFile(filepath.Join(r.opts.Dir, watchFileName), func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("stream: %w", err)
-	}
-	if f, err := os.Open(tmp); err == nil {
-		f.Sync()
-		f.Close()
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	if d, err := os.Open(r.opts.Dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

@@ -2,10 +2,14 @@ package stream_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -531,6 +535,24 @@ func TestWatchPersistence(t *testing.T) {
 	if !ok || got.Theta != 0.25 || got.Webhook != "http://sink.example/hook" ||
 		len(got.Members) != 2 || got.Members[0] != "a" || got.Members[1] != "b" {
 		t.Fatalf("restart mangled watch: %+v", got)
+	}
+
+	// A write that cannot be published (a directory squats on the file's
+	// name, so the rename fails) fails the Set and leaves no temp file.
+	squat := t.TempDir()
+	reg3, err := stream.NewRegistry(svc, stream.Options{Dir: squat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg3.Close()
+	if err := os.Mkdir(filepath.Join(squat, "watches.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg3.Set(stream.Watch{Name: "lost", Members: []string{"a"}, Theta: 0.5}); err == nil {
+		t.Fatal("Set succeeded although the watchlist could not be published")
+	}
+	if _, err := os.Stat(filepath.Join(squat, "watches.json.tmp")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("watches.json.tmp left behind (stat err %v)", err)
 	}
 }
 
