@@ -14,6 +14,7 @@
 // The -bench mode runs the perf-regression suite instead; it supports
 // pprof capture and a regression gate for CI:
 //
+//	stsbench -bench                                       # report to .bench_build/stsbench.json
 //	stsbench -bench -benchout BENCH.json                  # fresh baseline
 //	stsbench -bench -baseline BENCH_3.json -gate 20       # fail on >20% slowdown
 //	stsbench -bench -cpuprofile cpu.out -memprofile mem.out
@@ -27,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -47,7 +49,7 @@ func main() {
 		pairs     = flag.Int("pairs", 0, "pairs for the cross-similarity experiment (default 100)")
 		format    = flag.String("format", "text", "output format: text or csv")
 		bench     = flag.Bool("bench", false, "run the perf-regression suite instead of a figure")
-		benchOut  = flag.String("benchout", "BENCH_1.json", "output path of the -bench JSON report")
+		benchOut  = flag.String("benchout", ".bench_build/stsbench.json", "output path of the -bench JSON report; missing parent directories are created")
 		baseline  = flag.String("baseline", "", "previous -bench report to compute speedups against")
 		benchTime = flag.Duration("benchtime", time.Second, "minimum measured time per -bench benchmark")
 		repeat    = flag.Int("repeat", 1, "measure each -bench benchmark this many times and report the median run (damps box noise for baseline gates)")
@@ -92,6 +94,9 @@ func main() {
 		sAxis, aerr := parseAxis("-shards-axis", *shAxis)
 		if aerr != nil {
 			fatal(aerr)
+		}
+		if err := os.MkdirAll(filepath.Dir(*benchOut), 0o755); err != nil {
+			fatal(err)
 		}
 		err = experiments.RunPerf(cfg, experiments.PerfOptions{
 			MinTime:       *benchTime,

@@ -1,6 +1,7 @@
 // Incremental maintenance of prepared state and bucketed profiles under
-// sample appends — the streaming path's alternative to re-deriving a
-// trajectory's state from scratch on every extension.
+// sample appends, as an alternative to re-deriving a trajectory's state
+// from scratch on every extension. The engine does not use it: its only
+// callers are e2ebench's core.append_profile_us probe and the goldens.
 //
 // Both entry points are bit-identical to a full rebuild of the extended
 // trajectory (the append goldens pin this):

@@ -239,9 +239,9 @@ func (p *Prepared) bucketCenterDist(ws *stprob.Workspace, b int64, w float64) (s
 // appendProfileEntry appends one freshly computed bucket entry, copying the
 // distribution without its explicit zero-probability cells: they contribute
 // nothing to any dot product but would be paid for in memory and merge work
-// on every pair evaluation. All-zero distributions append nothing. Profile,
-// AppendProfile and TrimProfile all build entries here, which keeps the
-// three bit-identical. Views are rebuilt by finishProfileViews.
+// on every pair evaluation. All-zero distributions append nothing. Profile
+// and AppendProfile both build entries here, which keeps the two
+// bit-identical. Views are rebuilt by finishProfileViews.
 func appendProfileEntry(prof *Profile, b int64, weight int32, d stprob.Dist) {
 	off := len(prof.cells)
 	for k, c := range d.Cells {

@@ -189,6 +189,15 @@ func refMeasure(t *testing.T, w refWorld, opts Options) *Measure {
 	return m
 }
 
+func mustPrepare(t *testing.T, m *Measure, tr model.Trajectory) *Prepared {
+	t.Helper()
+	p, err := m.Prepare(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestSkipMatchesNonSkippingReference pins the exact-zero co-location skip
 // against a scorer that never skips: on mall and taxi pairs (twins and
 // strangers) under every configuration of refConfigs, SimilarityPrepared

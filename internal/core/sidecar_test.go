@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"github.com/stslib/sts/internal/geo"
+	"github.com/stslib/sts/internal/model"
 	"github.com/stslib/sts/internal/stprob"
 )
 
@@ -122,4 +125,107 @@ func TestDecodeProfileRejectsCompactBlob(t *testing.T) {
 	if p, err := DecodeProfile(blob); err == nil {
 		t.Fatalf("compact blob decoded: %+v", p)
 	}
+}
+
+// TestProfileCodecRoundTrip pins the sidecar payload codec: encoding and
+// decoding a profile reproduces every field bit-identically — across
+// provider families and bucket widths, with bound metadata on and off.
+// (Decoded bound distributions own their storage where the original
+// aliased the Prepared cache; reflect.DeepEqual compares values, which is
+// the contract warm-loaded profiles rely on.)
+func TestProfileCodecRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	seedDS := model.Dataset{randTraj(r, "s1", 12), randTraj(r, "s2", 9)}
+	for name, m := range measuresUnderTest(t, seedDS) {
+		t.Run(name, func(t *testing.T) {
+			for trial := 0; trial < 4; trial++ {
+				tr := randTraj(r, "tr", 4+r.Intn(10))
+				for _, opts := range []ProfileOptions{
+					{BucketSeconds: 30},
+					{BucketSeconds: 30, Bounds: true},
+					{BucketSeconds: 120, Bounds: true},
+				} {
+					want := mustProfile(t, m, tr, opts)
+					got, err := DecodeProfile(EncodeProfile(want))
+					if err != nil {
+						t.Fatalf("decode (opts %+v): %v", opts, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("round trip not identical (opts %+v):\n got %+v\nwant %+v", opts, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestProfileCodecRejectsCorruption walks every truncation point and a
+// sweep of byte flips over a valid encoding: the decoder must return an
+// error or a decodable profile, never panic.
+func TestProfileCodecRejectsCorruption(t *testing.T) {
+	g := testGrid(t)
+	m := mustSTS(t, g, 3)
+	tr := walk("a", geo.Point{Y: 100}, 1, 0, 10, 0, 8)
+	blob := EncodeProfile(mustProfile(t, m, tr, ProfileOptions{Bounds: true, BucketSeconds: 30}))
+	for cut := 0; cut < len(blob); cut++ {
+		if _, err := DecodeProfile(blob[:cut]); err == nil {
+			t.Fatalf("truncation at %d/%d accepted", cut, len(blob))
+		}
+	}
+	for i := 0; i < len(blob); i++ {
+		mut := append([]byte(nil), blob...)
+		mut[i] ^= 0x5b
+		p, err := DecodeProfile(mut) // must not panic; error or success both fine
+		_ = p
+		_ = err
+	}
+	if _, err := DecodeProfile(nil); err == nil {
+		t.Error("empty blob accepted")
+	}
+	if _, err := DecodeProfile([]byte{99}); err == nil {
+		t.Error("unknown version accepted")
+	}
+}
+
+// FuzzDecodeProfile hammers the decoder with arbitrary bytes: it must
+// never panic or allocate beyond the blob's own size class, and anything
+// it does accept must re-encode without panicking.
+func FuzzDecodeProfile(f *testing.F) {
+	g, err := geo.NewGrid(geo.NewRect(geo.Point{X: -30, Y: -30}, geo.Point{X: 230, Y: 230}), 5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, err := NewSTS(g, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	tr := walk("a", geo.Point{Y: 100}, 1, 0, 10, 0, 8)
+	p, err := m.Prepare(tr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var bounded []byte
+	for _, opts := range []ProfileOptions{
+		{BucketSeconds: 30},
+		{BucketSeconds: 30, Bounds: true},
+	} {
+		prof, err := m.Profile(p, opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		bounded = EncodeProfile(prof)
+		f.Add(bounded)
+	}
+	// The retired compact flag bit on an otherwise valid payload.
+	retired := append([]byte(nil), bounded...)
+	retired[1] |= 1
+	f.Add(retired)
+	f.Add([]byte{profileCodecVersion, 0})
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		prof, err := DecodeProfile(blob)
+		if err != nil {
+			return
+		}
+		_ = EncodeProfile(prof)
+	})
 }

@@ -67,9 +67,9 @@ func appendEngines(t *testing.T) map[string]engine.Service {
 }
 
 // TestEngineAppendMatchesFreshEngine grows a corpus through Append — with
-// warm caches, so the incremental derived-state path is exercised — and
-// requires every query against it to exactly match a fresh engine built
-// from the final trajectories.
+// warm caches, so stale derived state of a superseded generation would
+// show — and requires every query against it to exactly match a fresh
+// engine built from the final trajectories.
 func TestEngineAppendMatchesFreshEngine(t *testing.T) {
 	base := make([]model.Trajectory, 0, 10)
 	for i := 0; i < 10; i++ {
@@ -86,7 +86,7 @@ func TestEngineAppendMatchesFreshEngine(t *testing.T) {
 				}
 			}
 			// Warm the derived-state caches so Append has old state to
-			// maintain incrementally.
+			// forget.
 			if _, err := svc.TopK(context.Background(), query, 5); err != nil {
 				t.Fatal(err)
 			}

@@ -231,23 +231,6 @@ func (s *cacheShard[V]) evictLocked() {
 	}
 }
 
-// peek returns key's completed value without blocking or counting toward
-// the hit/miss stats, and the zero V when the entry is absent or still in
-// flight. The append path uses it to seize a record's derived state for
-// incremental maintenance before the old generation is forgotten.
-func (c *lruCache[V]) peek(key prepKey) (V, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		if e := el.Value.(*cacheEntry[V]); e.done && e.err == nil {
-			return e.v, true
-		}
-	}
-	var zero V
-	return zero, false
-}
-
 // put inserts a completed value for key, dropping the least-recently-used
 // entries if the shard overflows. An existing entry (completed or in
 // flight) wins: the racing build produced the same generation's state, and

@@ -32,10 +32,10 @@ type Service interface {
 	Add(tr model.Trajectory) (int, error)
 	Remove(id string) error
 	Replace(tr model.Trajectory) (int, error)
-	// Append extends a resident trajectory with strictly-later samples,
-	// maintaining cached derived state incrementally (the streaming
-	// ingestion path); TrimBefore is the retention sweep dropping samples
-	// older than the cutoff timestamp.
+	// Append extends a resident trajectory with strictly-later samples
+	// (the streaming ingestion path); TrimBefore is the retention sweep
+	// dropping samples older than the cutoff timestamp. Both forget the
+	// superseded records' cached derived state, as Replace does.
 	Append(id string, tail []model.Sample) (int, error)
 	TrimBefore(cutoff float64) (TrimStats, error)
 

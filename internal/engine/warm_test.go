@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/stslib/sts/internal/core"
@@ -86,80 +87,126 @@ func TestTrimSweepDecodesOnlyExpiring(t *testing.T) {
 	}
 }
 
-// TestTrimPreservesDerivedState is the warm-retention gate: a sweep that
-// trims straddling trajectories must maintain their cached prepared
-// state and profiles incrementally, so a standing query re-evaluated
-// after retention causes zero from-scratch builds — and still scores
-// bit-identically to a fresh engine over the trimmed corpus.
-func TestTrimPreservesDerivedState(t *testing.T) {
-	const cutoff = 25.0
-	for name, svc := range appendEngines(t) {
-		t.Run(name, func(t *testing.T) {
-			// 6 straddlers (t=0..90, 3 samples expire) and 2 fresh
-			// trajectories, all within the index's spatial slack of the
-			// standing query so every one is a candidate.
-			var final []model.Trajectory
-			for i := 0; i < 6; i++ {
-				tr := walk(fmt.Sprintf("s%d", i), 100+float64(i)*10, 100, 4, 10, 10)
-				if _, err := svc.Add(tr); err != nil {
-					t.Fatal(err)
-				}
-				final = append(final, model.Trajectory{ID: tr.ID, Samples: append([]model.Sample{}, tr.Samples[3:]...)})
-			}
-			for i := 0; i < 2; i++ {
-				tr := shiftT(walk(fmt.Sprintf("f%d", i), 160+float64(i)*10, 100, 4, 10, 6), 100)
-				if _, err := svc.Add(tr); err != nil {
-					t.Fatal(err)
-				}
-				final = append(final, tr)
-			}
-			query := walk("q", 100, 100, 4, 10, 20) // t=0..190: overlaps everything
-			if _, err := svc.TopK(context.Background(), query, 8); err != nil {
-				t.Fatal(err)
-			}
-			prep0, prof0 := svc.CacheStats(), svc.ProfileCacheStats()
-
+// TestMutationsForgetDerivedState pins the derived-state lifecycle of the
+// two in-place mutations: a retention sweep and an append forget the
+// superseded generation's cached prepared state and profiles, build
+// nothing, and leave the next query to rebuild exactly the superseded
+// records — which then score bit-identically to a fresh engine over the
+// same samples.
+func TestMutationsForgetDerivedState(t *testing.T) {
+	const (
+		cutoff     = 25.0
+		superseded = 6
+	)
+	// Exhaustive scoring builds every record's state in each cache the
+	// engine scores through, so each record holds exactly one entry there.
+	opts := engine.TopKOptions{K: 8, MinScore: math.Inf(-1), Exhaustive: true}
+	query := walk("q", 100, 100, 4, 10, 20) // t=0..190: overlaps everything
+	for _, mut := range []struct {
+		name string
+		// apply supersedes the first 6 records and returns every record's
+		// final samples.
+		apply func(t *testing.T, svc engine.Service, corpus []model.Trajectory) []model.Trajectory
+	}{
+		{"trim", func(t *testing.T, svc engine.Service, corpus []model.Trajectory) []model.Trajectory {
 			st, err := svc.TrimBefore(cutoff)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Trimmed != 6 || st.Removed != 0 || st.Decoded != 6 {
-				t.Fatalf("trim stats %+v, want 6 trimmed, 6 decoded", st)
+			if st.Trimmed != superseded || st.Removed != 0 || st.Decoded != superseded {
+				t.Fatalf("trim stats %+v, want %d trimmed, %d decoded", st, superseded, superseded)
 			}
-
-			got, err := svc.TopK(context.Background(), query, 8)
-			if err != nil {
-				t.Fatal(err)
+			final := append([]model.Trajectory(nil), corpus...)
+			for i := 0; i < superseded; i++ {
+				final[i].Samples = corpus[i].Samples[3:] // t=0..20 expire
 			}
-			// The standing query's re-evaluation must be all cache hits:
-			// the sweep trimmed the cached state incrementally instead of
-			// dropping it.
-			if prep, prof := svc.CacheStats(), svc.ProfileCacheStats(); prep.Misses != prep0.Misses || prof.Misses != prof0.Misses {
-				t.Fatalf("re-evaluation rebuilt derived state: prepared misses %d -> %d, profile misses %d -> %d",
-					prep0.Misses, prep.Misses, prof0.Misses, prof.Misses)
-			}
-
-			fresh, err := engine.New(svc.Scorer(), appendOpts(svc.Profiled()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fresh.Close()
-			for _, tr := range final {
-				if _, err := fresh.Add(tr); err != nil {
+			return final
+		}},
+		{"append", func(t *testing.T, svc engine.Service, corpus []model.Trajectory) []model.Trajectory {
+			final := append([]model.Trajectory(nil), corpus...)
+			for i := 0; i < superseded; i++ {
+				tail := tailOf(corpus[i], 2)
+				if _, err := svc.Append(corpus[i].ID, tail); err != nil {
 					t.Fatal(err)
 				}
+				final[i].Samples = append(append([]model.Sample{}, corpus[i].Samples...), tail...)
 			}
-			want, err := fresh.TopK(context.Background(), query, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("TopK sizes after trim: %d vs %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-					t.Fatalf("TopK[%d] after trim: %+v vs fresh %+v", i, got[i], want[i])
-				}
+			return final
+		}},
+	} {
+		t.Run(mut.name, func(t *testing.T) {
+			for name, svc := range appendEngines(t) {
+				t.Run(name, func(t *testing.T) {
+					// 6 straddlers (t=0..90) and 2 fresh trajectories
+					// (t=100..150), all overlapping the query.
+					var corpus []model.Trajectory
+					for i := 0; i < superseded; i++ {
+						corpus = append(corpus, walk(fmt.Sprintf("s%d", i), 100+float64(i)*10, 100, 4, 10, 10))
+					}
+					for i := 0; i < 2; i++ {
+						corpus = append(corpus, shiftT(walk(fmt.Sprintf("f%d", i), 160+float64(i)*10, 100, 4, 10, 6), 100))
+					}
+					for _, tr := range corpus {
+						if _, err := svc.Add(tr); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := svc.TopKOpts(context.Background(), query, opts); err != nil {
+						t.Fatal(err)
+					}
+					prep0, prof0 := svc.CacheStats(), svc.ProfileCacheStats()
+
+					final := mut.apply(t, svc, corpus)
+
+					// Exact engines score through the prepared cache only;
+					// profiled ones through both.
+					profHeld := 0
+					if svc.Profiled() {
+						profHeld = superseded
+					}
+					prep, prof := svc.CacheStats(), svc.ProfileCacheStats()
+					if prep.Misses != prep0.Misses || prof.Misses != prof0.Misses {
+						t.Fatalf("%s built derived state: prepared misses %d -> %d, profile misses %d -> %d",
+							mut.name, prep0.Misses, prep.Misses, prof0.Misses, prof.Misses)
+					}
+					if prep.Size != prep0.Size-superseded || prof.Size != prof0.Size-profHeld {
+						t.Fatalf("%s kept superseded state: prepared size %d -> %d (want -%d), profile size %d -> %d (want -%d)",
+							mut.name, prep0.Size, prep.Size, superseded, prof0.Size, prof.Size, profHeld)
+					}
+
+					got, err := svc.TopKOpts(context.Background(), query, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					prep1, prof1 := svc.CacheStats(), svc.ProfileCacheStats()
+					if prep1.Misses-prep.Misses != superseded || prof1.Misses-prof.Misses != uint64(profHeld) {
+						t.Fatalf("next query after %s: %d prepared and %d profile misses, want %d and %d",
+							mut.name, prep1.Misses-prep.Misses, prof1.Misses-prof.Misses, superseded, profHeld)
+					}
+
+					fresh, err := engine.New(svc.Scorer(), appendOpts(svc.Profiled()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer fresh.Close()
+					for _, tr := range final {
+						if _, err := fresh.Add(tr); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want, err := fresh.TopKOpts(context.Background(), query, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("TopK sizes after %s: %d vs %d", mut.name, len(got), len(want))
+					}
+					for i := range got {
+						if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
+							t.Fatalf("TopK[%d] after %s: %+v vs fresh %+v", i, mut.name, got[i], want[i])
+						}
+					}
+				})
 			}
 		})
 	}

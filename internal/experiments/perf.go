@@ -823,8 +823,8 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 	// Streaming ingestion and standing-query evaluation: the two hot paths
 	// of the live-subscription subsystem. append_ingest measures
 	// Engine.Append alone — tail validation, columnar re-encode, WAL frame,
-	// and the generation-scoped refresh of cached derived state — on a
-	// resident synth corpus. standing_eval adds the subscription work: each
+	// and forgetting the superseded generation's cached derived state — on
+	// a resident synth corpus. standing_eval adds the subscription work: each
 	// append re-evaluates one watchlist through the ScoreBatchMin floor, so
 	// the row's prune rate reports how much of the candidate set the
 	// admissible upper bound disposes of before refinement. The corpus pairs
@@ -961,9 +961,9 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 		// resident. Start times are aligned to t=0 (the synth generator
 		// staggers them over an hour) so the window engages within a couple
 		// of append rounds; every member keeps reporting round-robin, so
-		// nothing the watch needs ever fully expires, and the cache hit
-		// rate pins that sweeps no longer flush derived state: straddling
-		// trajectories keep their (incrementally trimmed) preparations.
+		// nothing the watch needs ever fully expires. Sweeps forget the
+		// trimmed records' derived state; the cache hit rate reports how
+		// much of it the standing evaluation rebuilds.
 		const horizon = 600.0
 		eng, err = engine.New(eval.NewSTSScorer("STS", m), engine.Options{Workers: workers})
 		if err != nil {

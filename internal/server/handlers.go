@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -98,7 +99,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	if _, err := s.eng.Replace(tr); err != nil {
-		return httpErrorf(http.StatusBadRequest, "ingest %q: %v", id, err)
+		return mapEngineErr(fmt.Errorf("ingest %q: %w", id, err))
 	}
 	return writeJSON(w, http.StatusOK, api.PutResponse{ID: id, CorpusSize: s.eng.Len()})
 }
@@ -152,7 +153,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 			return err
 		}
 		if _, err := s.eng.Replace(tr); err != nil {
-			return httpErrorf(http.StatusBadRequest, "ingest %q: %v", tr.ID, err)
+			return mapEngineErr(fmt.Errorf("ingest %q: %w", tr.ID, err))
 		}
 	}
 	return writeJSON(w, http.StatusOK, api.BatchResponse{Ingested: len(ds), CorpusSize: s.eng.Len()})
@@ -287,15 +288,22 @@ func (s *Server) normalizeIngest(tr *model.Trajectory) error {
 	return nil
 }
 
-// mapEngineErr translates engine sentinel errors to HTTP statuses.
+// mapEngineErr translates engine and store sentinel errors to HTTP
+// statuses: invalid input is the client's fault (400), a missing
+// trajectory is 404, and a closed store is 503. Anything else — a
+// storage or scoring failure — stays the middleware's 500.
 func mapEngineErr(err error) error {
 	switch {
 	case err == nil:
 		return nil
 	case errors.Is(err, engine.ErrNotFound):
 		return &httpError{status: http.StatusNotFound, msg: err.Error()}
-	case errors.Is(err, engine.ErrNoQuery):
+	case errors.Is(err, engine.ErrNoQuery), errors.Is(err, model.ErrEmpty),
+		errors.Is(err, model.ErrUnsorted), errors.Is(err, model.ErrNonFinite),
+		errors.Is(err, model.ErrDuplicate):
 		return &httpError{status: http.StatusBadRequest, msg: err.Error()}
+	case errors.Is(err, store.ErrClosed):
+		return &httpError{status: http.StatusServiceUnavailable, msg: err.Error()}
 	default:
 		return err
 	}

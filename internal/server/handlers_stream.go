@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"github.com/stslib/sts/api"
-	"github.com/stslib/sts/internal/engine"
 	"github.com/stslib/sts/internal/geo"
 	"github.com/stslib/sts/internal/model"
 	"github.com/stslib/sts/internal/stream"
@@ -42,13 +41,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) error {
 		tail[i] = model.Sample{T: sm[0], Loc: geo.Point{X: sm[1], Y: sm[2]}}
 	}
 	if _, err := s.eng.Append(id, tail); err != nil {
-		if errors.Is(err, engine.ErrNotFound) {
-			return httpErrorf(http.StatusNotFound, "%v", err)
-		}
-		// Everything else the append path rejects is a tail-validation
-		// failure (non-monotonic times, samples not past the resident
-		// trajectory, non-finite coordinates).
-		return httpErrorf(http.StatusBadRequest, "%v", err)
+		return mapEngineErr(err)
 	}
 	grown, ok := s.eng.Get(id)
 	if !ok {

@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"github.com/stslib/sts/api"
+	"github.com/stslib/sts/internal/engine"
+	"github.com/stslib/sts/internal/eval"
 	"github.com/stslib/sts/internal/server"
+	"github.com/stslib/sts/internal/store"
 )
 
 // TestStatsCorpusSizeUnderConcurrentIngest pins the single-source-of-truth
@@ -63,6 +66,50 @@ func TestStatsCorpusSizeUnderConcurrentIngest(t *testing.T) {
 			}
 			return
 		default:
+		}
+	}
+}
+
+// TestClosedStoreAnswers503 pins the storage-failure mapping of the write
+// routes: once the durable store behind the engine is closed, every write
+// fails with store.ErrClosed, which is the server's fault, not the
+// client's. PUT, batch and append answer 503; a tail that fails validation
+// still answers 400.
+func TestClosedStoreAnswers503(t *testing.T) {
+	m, _, ds := mallWorld(t, 4)
+	st, err := store.Open(t.TempDir(), store.Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(eval.NewSTSScorer("STS", m), engine.Options{Corpus: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, eng, server.Options{})
+	id := ds[0].ID
+	if code := doJSON(t, http.MethodPut, ts.URL+"/v1/trajectories/"+id, api.FromTrajectory(ds[0]), nil); code != http.StatusOK {
+		t.Fatalf("put before close: code %d", code)
+	}
+	last := ds[0].Samples[len(ds[0].Samples)-1]
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name, method, url string
+		body              any
+		want              int
+	}{
+		{"put", http.MethodPut, ts.URL + "/v1/trajectories/" + ds[1].ID, api.FromTrajectory(ds[1]), http.StatusServiceUnavailable},
+		{"batch", http.MethodPost, ts.URL + "/v1/trajectories:batch",
+			api.BatchRequest{Trajectories: api.FromDataset(ds[1:])}, http.StatusServiceUnavailable},
+		{"append", http.MethodPost, ts.URL + "/v1/trajectories/" + id + ":append",
+			api.AppendRequest{Samples: [][3]float64{{last.T + 5, last.Loc.X, last.Loc.Y}}}, http.StatusServiceUnavailable},
+		{"stale append", http.MethodPost, ts.URL + "/v1/trajectories/" + id + ":append",
+			api.AppendRequest{Samples: [][3]float64{{last.T, last.Loc.X, last.Loc.Y}}}, http.StatusBadRequest},
+	} {
+		if code := doJSON(t, c.method, c.url, c.body, nil); code != c.want {
+			t.Errorf("%s on a closed store: code %d, want %d", c.name, code, c.want)
 		}
 	}
 }

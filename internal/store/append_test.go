@@ -89,10 +89,10 @@ func TestStoreAppendRejectsInvalid(t *testing.T) {
 		"missing id": {"nope", tail, ErrNotFound},
 		"empty id":   {"", tail, nil},
 		"empty tail": {"a", nil, nil},
-		"stale time": {"a", []model.Sample{end}, nil},
-		"reorder":    {"a", []model.Sample{tail[1], tail[0]}, nil},
-		"nan coord":  {"a", []model.Sample{{T: end.T + 1, Loc: geo.Point{X: math.NaN()}}}, nil},
-		"inf time":   {"a", []model.Sample{{T: math.Inf(1)}}, nil},
+		"stale time": {"a", []model.Sample{end}, model.ErrDuplicate},
+		"reorder":    {"a", []model.Sample{tail[1], tail[0]}, model.ErrUnsorted},
+		"nan coord":  {"a", []model.Sample{{T: end.T + 1, Loc: geo.Point{X: math.NaN()}}}, model.ErrNonFinite},
+		"inf time":   {"a", []model.Sample{{T: math.Inf(1)}}, model.ErrNonFinite},
 	} {
 		_, err := s.Append(tc.id, tc.tail)
 		if err == nil {

@@ -397,10 +397,14 @@ func (s *Store) Append(id string, tail []model.Sample) (Ref, error) {
 	prevT := base[oldN-1].T
 	for i, smp := range tail {
 		if !smp.Loc.IsFinite() || math.IsNaN(smp.T) || math.IsInf(smp.T, 0) {
-			return Ref{}, fmt.Errorf("store: append to %q: sample %d is not finite", id, i)
+			return Ref{}, fmt.Errorf("store: append to %q: %w (sample %d)", id, model.ErrNonFinite, i)
 		}
 		if !(smp.T > prevT) {
-			return Ref{}, fmt.Errorf("store: append to %q: sample %d (t=%v) not after t=%v", id, i, smp.T, prevT)
+			cause := model.ErrUnsorted
+			if smp.T == prevT {
+				cause = model.ErrDuplicate
+			}
+			return Ref{}, fmt.Errorf("store: append to %q: %w (sample %d at t=%v, last t=%v)", id, cause, i, smp.T, prevT)
 		}
 		prevT = smp.T
 	}
