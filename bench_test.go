@@ -262,6 +262,10 @@ func BenchmarkSTSPairTaxi(b *testing.B) {
 	}
 }
 
+// BenchmarkSTSPrepare times the eager part of preparation: the speed
+// model's bandwidth and speed bound and the observations' noise
+// distributions. The KDE mass table is built at the first interpolation,
+// which this benchmark never reaches.
 func BenchmarkSTSPrepare(b *testing.B) {
 	mall, _ := benchScenarios(b)
 	grid, err := mall.Grid(mall.GridSize, 0)
@@ -280,6 +284,10 @@ func BenchmarkSTSPrepare(b *testing.B) {
 	}
 }
 
+// BenchmarkKDEMassFast times one tabulated mass lookup. Each call also
+// checks that the lazily built table exists (one atomic load and one
+// branch), which keeps the table fields from being hoisted out of this
+// isolated loop.
 func BenchmarkKDEMassFast(b *testing.B) {
 	mall, _ := benchScenarios(b)
 	sm, err := kde.NewSpeedModel(mall.Base[0])

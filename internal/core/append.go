@@ -111,6 +111,9 @@ func (m *Measure) AppendProfile(old *Profile, p *Prepared, opts ProfileOptions) 
 	if old == nil || old.ID != p.Tr.ID || old.BucketSeconds != w || old.n <= 0 || old.n >= p.Tr.Len() {
 		return nil, errors.New("core: AppendProfile needs the profile of a strict prefix of the prepared trajectory (same ID and bucket width)")
 	}
+	if opts.BoundsOnly || old.boundsOnly {
+		return nil, errors.New("core: AppendProfile extends full profiles only")
+	}
 	b0, b1 := bucketIndex(p.Tr.Start(), w), bucketIndex(p.Tr.End(), w)
 	if nb := b1 - b0 + 1; nb > maxProfileBuckets {
 		return nil, fmt.Errorf("core: profile of %q would span %d buckets (max %d); widen ProfileOptions.BucketSeconds",

@@ -176,9 +176,11 @@ func (m *Measure) buildBoundData(prof *Profile, p *Prepared) {
 	prof.b1 = bucketIndex(p.Tr.End(), w)
 
 	ne := len(prof.buckets)
-	prof.entryBox = make([]cellBox, ne)
-	prof.entryMax = make([]float64, ne)
-	prof.entrySum = make([]float64, ne)
+	if ne > 0 { // as DecodeProfile allocates them
+		prof.entryBox = make([]cellBox, ne)
+		prof.entryMax = make([]float64, ne)
+		prof.entrySum = make([]float64, ne)
+	}
 	prof.sufW = make([]int64, ne+1)
 	for i := ne - 1; i >= 0; i-- {
 		prof.sufW[i] = prof.sufW[i+1] + int64(prof.weights[i])
@@ -364,6 +366,9 @@ func UpperBoundProfiled(a, b *Profile) (float64, error) {
 	if err := checkBoundPair(a, b); err != nil {
 		return 0, err
 	}
+	if a.boundsOnly || b.boundsOnly {
+		return 0, errBoundsOnly
+	}
 	var total float64
 	i, j := 0, 0
 	for i < len(a.buckets) && j < len(b.buckets) {
@@ -399,6 +404,9 @@ func UpperBoundProfiled(a, b *Profile) (float64, error) {
 func SimilarityProfiledThreshold(a, b *Profile, theta float64) (float64, bool, error) {
 	if err := checkBoundPair(a, b); err != nil {
 		return 0, false, err
+	}
+	if a.boundsOnly || b.boundsOnly {
+		return 0, false, errBoundsOnly
 	}
 	n := a.n + b.n
 	thetaN := theta * float64(n)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -70,6 +71,55 @@ func checkAdmissible(t *testing.T, m *Measure, a, b *Prepared, pa, pb *Profile) 
 		}
 		if !okP && !(prof < theta) {
 			t.Fatalf("theta %v: profiled exit (bound %v) but profiled %v reaches it", theta, gotP, prof)
+		}
+	}
+}
+
+// checkBoundsOnlyAgree asserts that each pair of profiles, bound-only on
+// at least one side, feeds the exact filter exactly what the full profiles
+// pa/pb feed it: the same UpperBound and, at every theta, the same
+// RefineThreshold value and ok. A bound-only profile paired with a full
+// one is the pairing an exact engine makes after warm-loading full
+// profiles.
+func checkBoundsOnlyAgree(t *testing.T, m *Measure, a, b *Prepared, pa, pb *Profile, thetas []float64, pairs ...[2]*Profile) {
+	t.Helper()
+	wantUB, err := UpperBound(pa, pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type refined struct {
+		v  float64
+		ok bool
+	}
+	want := make([]refined, len(thetas))
+	for i, theta := range thetas {
+		if want[i].v, want[i].ok, err = m.RefineThreshold(a, b, pa, pb, theta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pair := range pairs {
+		label := fmt.Sprintf("bound-only %v/%v", pair[0].BoundsOnly(), pair[1].BoundsOnly())
+		for _, q := range pair {
+			if q.BoundsOnly() && (!q.HasBounds() || q.NumBuckets() != 0 || q.MemoryCells() != 0) {
+				t.Fatalf("%s: bound-only profile %s has bounds %v, %d entries, %d cells", label, q.ID, q.HasBounds(), q.NumBuckets(), q.MemoryCells())
+			}
+		}
+		ub, err := UpperBound(pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ub != wantUB {
+			t.Fatalf("%s: UpperBound %.17g, full profiles %.17g", label, ub, wantUB)
+		}
+		for i, theta := range thetas {
+			v, ok, err := m.RefineThreshold(a, b, pair[0], pair[1], theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != want[i].v || ok != want[i].ok {
+				t.Fatalf("%s, theta %v: RefineThreshold %.17g (ok %v), full profiles %.17g (ok %v)",
+					label, theta, v, ok, want[i].v, want[i].ok)
+			}
 		}
 	}
 }
@@ -172,10 +222,69 @@ func TestUpperBoundValidation(t *testing.T) {
 	}
 }
 
+// TestProfiledScorersRejectBoundsOnly pins the guard on bound-only
+// profiles: they carry no scoring entries, so the three profiled scorers
+// must return an error on them instead of scoring a silent 0, on either
+// side, while the exact filter's UpperBound and RefineThreshold accept
+// them. AppendProfile, which extends entries, refuses them too.
+func TestProfiledScorersRejectBoundsOnly(t *testing.T) {
+	g := testGrid(t)
+	m := mustSTS(t, g, 3)
+	tr := walk("a", geo.Point{Y: 100}, 1, 0, 10, 0, 8)
+	p := mustPrepare(t, m, tr)
+	full, err := m.Profile(p, ProfileOptions{Bounds: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bo, err := m.Profile(p, ProfileOptions{BoundsOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := SimilarityProfiled(full, full); err != nil || v <= 0 {
+		t.Fatalf("full self-similarity = %v, %v", v, err)
+	}
+	for _, pair := range [][2]*Profile{{bo, full}, {full, bo}, {bo, bo}} {
+		label := fmt.Sprintf("bound-only %v/%v", pair[0].BoundsOnly(), pair[1].BoundsOnly())
+		if v, err := SimilarityProfiled(pair[0], pair[1]); err == nil {
+			t.Errorf("%s: SimilarityProfiled = %v, want an error", label, v)
+		}
+		if v, err := UpperBoundProfiled(pair[0], pair[1]); err == nil {
+			t.Errorf("%s: UpperBoundProfiled = %v, want an error", label, v)
+		}
+		if v, ok, err := SimilarityProfiledThreshold(pair[0], pair[1], 0); err == nil {
+			t.Errorf("%s: SimilarityProfiledThreshold = %v (ok %v), want an error", label, v, ok)
+		}
+		if ub, err := UpperBound(pair[0], pair[1]); err != nil || ub <= 0 {
+			t.Errorf("%s: UpperBound = %v, %v", label, ub, err)
+		}
+		if v, ok, err := m.RefineThreshold(p, p, pair[0], pair[1], math.Inf(-1)); err != nil || !ok || v <= 0 {
+			t.Errorf("%s: RefineThreshold = %v (ok %v), %v", label, v, ok, err)
+		}
+	}
+	head := mustPrepare(t, m, model.Trajectory{ID: tr.ID, Samples: tr.Samples[:5]})
+	for _, c := range []struct {
+		name string
+		old  ProfileOptions
+		opts ProfileOptions
+	}{
+		{"bound-only prefix", ProfileOptions{BoundsOnly: true}, ProfileOptions{Bounds: true}},
+		{"bound-only options", ProfileOptions{Bounds: true}, ProfileOptions{BoundsOnly: true}},
+	} {
+		old, err := m.Profile(head, c.old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.AppendProfile(old, p, c.opts); err == nil {
+			t.Errorf("AppendProfile accepted a %s", c.name)
+		}
+	}
+}
+
 // FuzzUpperBoundAdmissible drives the bounds over randomized trajectory
 // pairs and bucket widths: UpperBound must dominate the exact STS score and
 // UpperBoundProfiled the profiled score, always; thresholded scoring must be
-// exact on completion and sound on exit. Seeds cover the mall-like
+// exact on completion and sound on exit; bound-only profiles must give the
+// exact filter the same bound and refinement as full ones. Seeds cover the mall-like
 // (fine grid, slow walks) and taxi-like (coarse grid, fast sparse sampling)
 // regimes of the experiment fixtures.
 func FuzzUpperBoundAdmissible(f *testing.F) {
@@ -236,6 +345,21 @@ func FuzzUpperBoundAdmissible(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkAdmissible(t, m, a, b, pa, pb)
+		boOpts := ProfileOptions{BoundsOnly: true, BucketSeconds: width}
+		qa, err := m.Profile(a, boOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qb, err := m.Profile(b, boOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := m.SimilarityPrepared(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBoundsOnlyAgree(t, m, a, b, pa, pb, []float64{math.Inf(-1), 0, exact / 2, exact, exact * 1.0001},
+			[2]*Profile{qa, qb}, [2]*Profile{pa, qb}, [2]*Profile{qa, pb})
 
 		// Incremental maintenance must be indistinguishable from the
 		// rebuild: regrow a from a random prefix by appending its tail,

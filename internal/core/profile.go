@@ -24,8 +24,18 @@ type ProfileOptions struct {
 	// (reach envelopes, per-bucket mass summaries — see bound.go), which
 	// UpperBound and the thresholded scorers require. Off by default: pure
 	// profiled scoring never reads it, and skipping it keeps transient
-	// profile builds cheap. The engine opts in for its cached profiles.
+	// profile builds cheap. Engines that score through profiles opt in for
+	// their cached profiles.
 	Bounds bool
+	// BoundsOnly builds the bound state alone (it implies Bounds), without
+	// the scoring entries. UpperBound and RefineThreshold read only the
+	// observations' Eq. 5 noise distributions, the speed bound and the
+	// reach geometry, so such a profile serves them with no Eq. 4
+	// interpolation and without building the transition model's KDE table.
+	// The profiled scorers (SimilarityProfiled, UpperBoundProfiled,
+	// SimilarityProfiledThreshold) return an error on it. Engines that
+	// score exactly cache these.
+	BoundsOnly bool
 }
 
 // DefaultProfileBucketSeconds is the default profile bucket width. It sits
@@ -57,7 +67,9 @@ func (o ProfileOptions) bucketWidth() (float64, error) {
 // location distribution STP(·, t_b, Tra) at the bucket's representative
 // time, plus the number of the trajectory's own observations in the bucket
 // (the timestamp weight of Eq. 10's average). Buckets whose distribution is
-// zero are omitted — they can never contribute co-location mass.
+// zero are omitted — they can never contribute co-location mass. A
+// bound-only profile (ProfileOptions.BoundsOnly) holds no such entries,
+// only the filter-and-refine bound state.
 //
 // Profiles are immutable after construction and safe for concurrent use;
 // their distributions own their storage (two shared backing arrays), so a
@@ -77,6 +89,10 @@ type Profile struct {
 	// (two allocations instead of two per bucket).
 	cells []int
 	probs []float64
+
+	// boundsOnly marks a profile built with ProfileOptions.BoundsOnly: it
+	// holds no entries, and the profiled scorers refuse it.
+	boundsOnly bool
 
 	// Filter-and-refine bound state (see bound.go). nx decomposes cell
 	// indices into lattice coordinates; b0/b1 is the bucket range of the
@@ -132,9 +148,15 @@ func (p *Profile) MemoryCells() int { return len(p.cells) }
 // thresholded scorers require.
 func (p *Profile) HasBounds() bool { return p.sufW != nil }
 
+// BoundsOnly reports whether the profile was built with
+// ProfileOptions.BoundsOnly: it carries the bound state UpperBound and
+// RefineThreshold read and no scoring entries.
+func (p *Profile) BoundsOnly() bool { return p.boundsOnly }
+
 // MemoryBytes estimates the profile's resident heap footprint: the shared
-// cell/probability backing arrays (the dominant term), the per-entry
-// metadata, and the filter-and-refine bound state when present. Cache
+// cell/probability backing arrays (the dominant term of a full profile),
+// the per-entry metadata, and the filter-and-refine bound state when
+// present. Cache
 // observability sums it per cached profile (/v1/stats "bytes").
 func (p *Profile) MemoryBytes() int {
 	const (
@@ -178,7 +200,9 @@ func bucketIndex(t, w float64) int64 {
 //
 // The per-trajectory cost is O(span / BucketSeconds) interpolations, paid
 // once; scoring the trajectory against any partner afterwards touches only
-// the precomputed distributions.
+// the precomputed distributions. With opts.BoundsOnly no entry is built:
+// the profile holds the bound state alone, derived from the cached noise
+// distributions without interpolating.
 func (m *Measure) Profile(p *Prepared, opts ProfileOptions) (*Profile, error) {
 	w, err := opts.bucketWidth()
 	if err != nil {
@@ -192,7 +216,11 @@ func (m *Measure) Profile(p *Prepared, opts ProfileOptions) (*Profile, error) {
 		return nil, fmt.Errorf("core: profile of %q would span %d buckets (max %d); widen ProfileOptions.BucketSeconds",
 			p.Tr.ID, nb, maxProfileBuckets)
 	}
-	prof := &Profile{ID: p.Tr.ID, BucketSeconds: w, n: p.Tr.Len()}
+	prof := &Profile{ID: p.Tr.ID, BucketSeconds: w, n: p.Tr.Len(), boundsOnly: opts.BoundsOnly}
+	if opts.BoundsOnly {
+		m.buildBoundData(prof, p)
+		return prof, nil
+	}
 	ws := scratchPool.get()
 	defer scratchPool.put(ws)
 	si := 0 // cursor over the trajectory's samples
@@ -298,11 +326,18 @@ func (m *Measure) SimilarityProfiled(a, b *Profile) (float64, error) {
 	return SimilarityProfiled(a, b)
 }
 
+// errBoundsOnly is returned by the profiled scorers for a bound-only
+// profile, whose missing entries would otherwise score a silent 0.
+var errBoundsOnly = errors.New("core: profile is bound-only (ProfileOptions.BoundsOnly) and has no scoring entries")
+
 // SimilarityProfiled is the measure-independent form of
 // Measure.SimilarityProfiled: profiles carry everything scoring needs.
 func SimilarityProfiled(a, b *Profile) (float64, error) {
 	if a == nil || b == nil {
 		return 0, errors.New("core: SimilarityProfiled needs two profiles")
+	}
+	if a.boundsOnly || b.boundsOnly {
+		return 0, errBoundsOnly
 	}
 	if a.BucketSeconds != b.BucketSeconds {
 		return 0, fmt.Errorf("core: profile bucket widths differ (%v vs %v)", a.BucketSeconds, b.BucketSeconds)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/stslib/sts/internal/datagen"
@@ -254,6 +255,60 @@ func TestSkipMatchesNonSkippingReference(t *testing.T) {
 				}
 				if exact := cfg.name == "exact"; exact != (skipped == 0) {
 					t.Errorf("%d skippable terms (Exact mode must have none, others some)", skipped)
+				}
+			})
+		}
+	}
+}
+
+// TestBoundsOnlyMatchesFullProfiles pins bound-only profiles against full
+// ones on the reference suite's mall and taxi pairs, under every
+// configuration of refConfigs: UpperBound and RefineThreshold must return
+// identical values and ok at θ = −Inf, at 0 and at the median positive
+// exact score, so an exact engine prunes and scores the same with either.
+func TestBoundsOnlyMatchesFullProfiles(t *testing.T) {
+	for _, w := range refWorlds(testing.Short()) {
+		for _, cfg := range refConfigs {
+			t.Run(w.name+"/"+cfg.name, func(t *testing.T) {
+				m := cfg.measure(t, w)
+				prep := func(ds model.Dataset) (ps []*Prepared, full, bo []*Profile) {
+					for _, tr := range ds {
+						p := mustPrepare(t, m, tr)
+						f, err := m.Profile(p, ProfileOptions{Bounds: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						q, err := m.Profile(p, ProfileOptions{BoundsOnly: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						ps, full, bo = append(ps, p), append(full, f), append(bo, q)
+					}
+					return ps, full, bo
+				}
+				pa, fa, qa := prep(w.a)
+				pb, fb, qb := prep(w.b)
+				var positive []float64
+				for i := range pa {
+					for j := range pb {
+						v, err := m.SimilarityPrepared(pa[i], pb[j])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if v > 0 {
+							positive = append(positive, v)
+						}
+					}
+				}
+				if len(positive) == 0 {
+					t.Fatal("every pair scored zero; the suite compares nothing")
+				}
+				sort.Float64s(positive)
+				thetas := []float64{math.Inf(-1), 0, positive[len(positive)/2]}
+				for i := range pa {
+					for j := range pb {
+						checkBoundsOnlyAgree(t, m, pa[i], pb[j], fa[i], fb[j], thetas, [2]*Profile{qa[i], qb[j]})
+					}
 				}
 			})
 		}

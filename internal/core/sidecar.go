@@ -26,10 +26,14 @@ const profileCodecVersion = 1
 
 // Payload flag bits. Bit 0 marked float32 (compact) profiles, a storage
 // mode since retired; the decoder rejects it like any other unknown bit.
+// pcFlagBoundsOnly marks a bound-only profile (ProfileOptions.BoundsOnly):
+// it comes with pcFlagBounds and zero entries, and a warm load decides
+// from it whether the entry carries what the engine scores with.
 const (
-	pcFlagBounds    = 1 << 1
-	pcFlagUnbounded = 1 << 2
-	pcKnownFlags    = pcFlagBounds | pcFlagUnbounded
+	pcFlagBounds     = 1 << 1
+	pcFlagUnbounded  = 1 << 2
+	pcFlagBoundsOnly = 1 << 3
+	pcKnownFlags     = pcFlagBounds | pcFlagUnbounded | pcFlagBoundsOnly
 )
 
 // maxProfileIDBytes bounds the encoded ID length a decoder will accept.
@@ -53,6 +57,9 @@ func EncodeProfile(p *Profile) []byte {
 	}
 	if p.unbounded {
 		flags |= pcFlagUnbounded
+	}
+	if p.boundsOnly {
+		flags |= pcFlagBoundsOnly
 	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(len(p.ID)))
@@ -138,6 +145,10 @@ func DecodeProfile(blob []byte) (*Profile, error) {
 		return nil, fmt.Errorf("core: profile flags %#x carry unknown bits", flags)
 	}
 	hasBounds := flags&pcFlagBounds != 0
+	boundsOnly := flags&pcFlagBoundsOnly != 0
+	if boundsOnly && !hasBounds {
+		return nil, errors.New("core: decoded bound-only profile carries no bound state")
+	}
 	idLen, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -149,7 +160,7 @@ func DecodeProfile(blob []byte) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Profile{ID: string(idBytes)}
+	p := &Profile{ID: string(idBytes), boundsOnly: boundsOnly}
 	if p.BucketSeconds, err = r.f64(); err != nil {
 		return nil, err
 	}
@@ -170,6 +181,9 @@ func DecodeProfile(blob []byte) (*Profile, error) {
 	}
 	if ne > maxProfileBuckets {
 		return nil, fmt.Errorf("core: decoded profile has %d buckets (max %d)", ne, maxProfileBuckets)
+	}
+	if boundsOnly && ne > 0 {
+		return nil, errors.New("core: decoded bound-only profile carries scoring entries")
 	}
 	if ne > 0 {
 		p.buckets = make([]int64, ne)

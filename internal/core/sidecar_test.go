@@ -84,8 +84,10 @@ func TestProfileCodecGoldenBytes(t *testing.T) {
 }
 
 // TestDecodeProfileRejectsUnknownFlags pins the decoder's flag check: only
-// the bounds and unbounded bits are defined, so a payload carrying any other
-// bit is refused and a warm load treats its entry as cold.
+// the bounds, unbounded and bound-only bits are defined, so a payload
+// carrying any other bit is refused and a warm load treats its entry as
+// cold. The bound-only bit is refused on a payload with entries or
+// without bound state.
 func TestDecodeProfileRejectsUnknownFlags(t *testing.T) {
 	golden, err := hex.DecodeString(goldenProfileHex)
 	if err != nil {
@@ -100,6 +102,19 @@ func TestDecodeProfileRejectsUnknownFlags(t *testing.T) {
 		if _, err := DecodeProfile(blob); err == nil {
 			t.Errorf("flag bit %d accepted", bit)
 		}
+	}
+	withEntries := append([]byte(nil), golden...)
+	withEntries[1] |= pcFlagBoundsOnly
+	if _, err := DecodeProfile(withEntries); err == nil {
+		t.Error("bound-only flag accepted on a payload with entries")
+	}
+	bare := EncodeProfile(&Profile{ID: "z", BucketSeconds: 30, n: 1})
+	if _, err := DecodeProfile(bare); err != nil {
+		t.Fatal(err)
+	}
+	bare[1] |= pcFlagBoundsOnly
+	if _, err := DecodeProfile(bare); err == nil {
+		t.Error("bound-only flag accepted without bound state")
 	}
 }
 
@@ -129,7 +144,8 @@ func TestDecodeProfileRejectsCompactBlob(t *testing.T) {
 
 // TestProfileCodecRoundTrip pins the sidecar payload codec: encoding and
 // decoding a profile reproduces every field bit-identically — across
-// provider families and bucket widths, with bound metadata on and off.
+// provider families and bucket widths, with bound metadata on and off, and
+// bound-only.
 // (Decoded bound distributions own their storage where the original
 // aliased the Prepared cache; reflect.DeepEqual compares values, which is
 // the contract warm-loaded profiles rely on.)
@@ -144,6 +160,7 @@ func TestProfileCodecRoundTrip(t *testing.T) {
 					{BucketSeconds: 30},
 					{BucketSeconds: 30, Bounds: true},
 					{BucketSeconds: 120, Bounds: true},
+					{BucketSeconds: 30, BoundsOnly: true},
 				} {
 					want := mustProfile(t, m, tr, opts)
 					got, err := DecodeProfile(EncodeProfile(want))
@@ -206,6 +223,7 @@ func FuzzDecodeProfile(f *testing.F) {
 	}
 	var bounded []byte
 	for _, opts := range []ProfileOptions{
+		{BucketSeconds: 30, BoundsOnly: true},
 		{BucketSeconds: 30},
 		{BucketSeconds: 30, Bounds: true},
 	} {

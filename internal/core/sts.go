@@ -271,8 +271,12 @@ type Prepared struct {
 }
 
 // MemoryBytes estimates the prepared state's resident heap footprint: the
-// trajectory's samples plus the cached per-observation noise distributions
-// (its dominant term). Cache observability sums it per cached entry.
+// trajectory's samples plus the cached per-observation noise
+// distributions. Cache observability sums it per cached entry. It leaves
+// out the KDE table of a personalized transition model (2,048 bins, 16 KB
+// at the default resolution, larger than the distributions): the first
+// interpolation builds it after the cache has sized the entry, and a
+// trajectory that is only bounded never builds it.
 func (p *Prepared) MemoryBytes() int {
 	const (
 		sampleSize = 24 // geo.Point + T
@@ -285,7 +289,11 @@ func (p *Prepared) MemoryBytes() int {
 	return b
 }
 
-// Prepare validates tr and builds its cached estimator state.
+// Prepare validates tr and builds its cached estimator state: the
+// transition model with its speed bound, and the noise distributions at
+// the observations. A personalized speed model defers its KDE table to
+// the first interpolation, so preparing a trajectory that is only bounded
+// never builds one.
 func (m *Measure) Prepare(tr model.Trajectory) (*Prepared, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err

@@ -112,11 +112,11 @@ type Engine struct {
 	cache    *lruCache[*core.Prepared]
 	profOpts *core.ProfileOptions // non-nil switches scoring to profiles
 	profiles *lruCache[*core.Profile]
-	// boundOpts is the profile width the filter-and-refine path derives its
-	// upper bounds from: the scoring profile options when profiled,
-	// core.DefaultProfileBucketSeconds otherwise. profiles is populated
-	// whenever pruning or profiled scoring needs it; noPrune pins every
-	// query exhaustive.
+	// boundOpts builds every cached profile (see setBoundOpts): the scoring
+	// profile options with bound state when profiled; otherwise
+	// core.DefaultProfileBucketSeconds and bound-only. profiles is
+	// populated whenever pruning or profiled scoring needs it; noPrune pins
+	// every query exhaustive.
 	boundOpts core.ProfileOptions
 	noPrune   bool
 	pstats    pruneCounters
@@ -203,10 +203,7 @@ func New(scorer Scorer, opts Options) (*Engine, error) {
 		return nil, errors.New("engine: Options.Profile requires a measure-backed scorer")
 	}
 	e.noPrune = opts.DisablePruning
-	if e.profOpts != nil {
-		e.boundOpts = *e.profOpts
-	}
-	e.boundOpts.Bounds = true
+	e.setBoundOpts(true)
 	// The profile cache backs both profiled scoring and the bound phase of
 	// filter-and-refine, so an exact engine with pruning enabled keeps one
 	// too.
@@ -226,15 +223,32 @@ func New(scorer Scorer, opts Options) (*Engine, error) {
 	return e, nil
 }
 
+// setBoundOpts sets the options the engine builds its cached profiles
+// with; bounds asks for the filter-and-refine bound state. It is the one
+// place that decides between full and bound-only profiles: an engine that
+// scores through profiles needs their entries, while any other engine
+// reads only the bound state that core.UpperBound and
+// core.Measure.RefineThreshold take, so its profiles skip the entries and
+// their Eq. 4 interpolations.
+func (e *Engine) setBoundOpts(bounds bool) {
+	if e.profOpts != nil {
+		e.boundOpts = *e.profOpts
+	}
+	e.boundOpts.Bounds = bounds
+	e.boundOpts.BoundsOnly = bounds && e.profOpts == nil
+}
+
 // warmFromSidecar installs the corpus's recovered derived-state sidecar
 // entries into the profile cache and registers the capture callback the
 // store invokes at snapshot time. The store has already revalidated each
 // payload against its record's content and remapped it to the recovered
 // generation, so validation here is about configuration: a profile only
-// warms the cache if it was built with this engine's bound options (the
-// record identity is re-checked defensively anyway). Returns the number
-// of profiles warm-loaded; no-op for in-memory corpora and engines
-// without a profile cache.
+// warms the cache if it was built with this engine's bucket width, carries
+// bound state, and carries what the engine scores with — a profiled engine
+// skips bound-only profiles, while an exact engine reads only bound state
+// and accepts both kinds (the record identity is re-checked defensively
+// anyway). Returns the number of profiles warm-loaded; no-op for
+// in-memory corpora and engines without a profile cache.
 func (e *Engine) warmFromSidecar() int {
 	sc, ok := e.corpus.(store.SidecarCorpus)
 	if !ok || e.measure == nil || e.profiles == nil {
@@ -250,7 +264,8 @@ func (e *Engine) warmFromSidecar() int {
 		if err != nil {
 			continue
 		}
-		if prof.ID != ent.ID || prof.BucketSeconds != w || !prof.HasBounds() {
+		if prof.ID != ent.ID || prof.BucketSeconds != w || !prof.HasBounds() ||
+			prof.BoundsOnly() && e.profOpts != nil {
 			continue
 		}
 		slot, ok := e.byID[ent.ID]
@@ -523,7 +538,8 @@ func (e *Engine) prepared(tr model.Trajectory) (*core.Prepared, error) {
 // once concurrently per trajectory. The build routes through the prepared
 // cache, so a trajectory's estimator state is shared between the exact and
 // profiled paths. Profiled engines score with these profiles; exact ones
-// use them only for the filter phase's upper bounds.
+// use them only for the filter phase's upper bounds, so theirs are
+// bound-only.
 func (e *Engine) profiled(tr model.Trajectory) (*core.Profile, error) {
 	return e.profiles.get(keyOf(tr), func() (*core.Profile, error) {
 		p, err := e.prepared(tr)

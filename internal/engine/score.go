@@ -122,7 +122,8 @@ func (e *Engine) ScoreBatchMin(ctx context.Context, rows, cols model.Dataset, ma
 // A ProfileScorer with non-nil options is scored through its bucketed
 // profiles. A finite minScore floors the matrix as in ScoreBatchMin and,
 // for a measure-backed scorer, builds profiles with bound data so the floor
-// is enforced bound-first; other scorers are scored in full and floored.
+// is enforced bound-first (bound-only profiles when the scorer is exact);
+// other scorers are scored in full and floored.
 func ScoreMatrix(ctx context.Context, s Scorer, rows, cols model.Dataset, mask [][]bool, minScore float64, workers int) ([][]float64, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -134,12 +135,7 @@ func ScoreMatrix(ctx context.Context, s Scorer, rows, cols model.Dataset, mask [
 		if ps, ok := s.(ProfileScorer); ok {
 			e.profOpts = ps.ProfileOptions()
 		}
-		if e.profOpts != nil {
-			e.boundOpts = *e.profOpts
-		}
-		if !math.IsInf(minScore, -1) && !math.IsNaN(minScore) {
-			e.boundOpts.Bounds = true
-		}
+		e.setBoundOpts(!math.IsInf(minScore, -1) && !math.IsNaN(minScore))
 		if e.profOpts != nil || e.boundOpts.Bounds {
 			e.profiles = newLRUCache[*core.Profile](0, nil)
 		}

@@ -1,8 +1,15 @@
 package engine
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/stslib/sts/internal/core"
+	"github.com/stslib/sts/internal/geo"
+	"github.com/stslib/sts/internal/model"
 )
 
 // TestMatchHeapMergeOrderInvariance pins the coordinator's merge
@@ -99,5 +106,96 @@ func TestShardIndexStability(t *testing.T) {
 	// Known FNV-1a vector: "a" hashes to 0xaf63dc4c8601ec8c.
 	if got := s.shardIndex("a"); got != int(uint64(0xaf63dc4c8601ec8c)%8) {
 		t.Fatalf("shardIndex(\"a\") = %d, want FNV-1a residue %d", got, uint64(0xaf63dc4c8601ec8c)%8)
+	}
+}
+
+// exactScorer is the smallest MeasureScorer: exact STS through m.
+type exactScorer struct{ m *core.Measure }
+
+func (s exactScorer) Name() string                                 { return "STS" }
+func (s exactScorer) Score(a, b model.Trajectory) (float64, error) { return s.m.Similarity(a, b) }
+func (s exactScorer) Measure() *core.Measure                       { return s.m }
+
+// TestCachedProfilesMatchScoringMode pins which profiles an engine caches:
+// after a pruned top-k and a floored ScoreBatchMin, every profile cached by
+// an exact Engine, and by each shard of an exact 2-shard Sharded, is
+// bound-only — the filter reads nothing else — while every profile cached
+// by a profiled Engine carries the entries it scores with.
+func TestCachedProfilesMatchScoringMode(t *testing.T) {
+	g, err := geo.NewGrid(geo.NewRect(geo.Point{X: -100, Y: -100}, geo.Point{X: 1100, Y: 1100}), 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.NewSTS(g, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corpus model.Dataset
+	for i := 0; i < 12; i++ {
+		tr := model.Trajectory{ID: fmt.Sprintf("t%02d", i)}
+		for k := 0; k < 10; k++ {
+			f := float64(k)
+			tr.Samples = append(tr.Samples, model.Sample{T: 7*float64(i%3) + 10*f, Loc: geo.Point{X: 100 + 15*float64(i) + 4*f, Y: 100 + 3*f}})
+		}
+		corpus = append(corpus, tr)
+	}
+	newEngine := func(opts Options) *Engine {
+		e, err := New(exactScorer{m}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = e.Close() })
+		return e
+	}
+	exact := newEngine(Options{})
+	profiled := newEngine(Options{Profile: &core.ProfileOptions{BucketSeconds: 30}})
+	sharded, err := NewSharded(exactScorer{m}, ShardedOptions{
+		Shards:       2,
+		ShardOptions: func(int) (Options, error) { return Options{}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sharded.Close() })
+	for _, c := range []struct {
+		name       string
+		svc        Service
+		engines    []*Engine
+		boundsOnly bool
+	}{
+		{"exact", exact, []*Engine{exact}, true},
+		{"profiled", profiled, []*Engine{profiled}, false},
+		{"sharded", sharded, sharded.shards, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, tr := range corpus {
+				if _, err := c.svc.Add(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx := context.Background()
+			if _, err := c.svc.TopKOpts(ctx, corpus[0], TopKOptions{K: 3, MinScore: math.Inf(-1)}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.svc.ScoreBatchMin(ctx, corpus[:4], corpus[4:], nil, 0.01); err != nil {
+				t.Fatal(err)
+			}
+			if st := c.svc.PruneStats(); st.Considered == 0 {
+				t.Fatalf("no query took the pruned path: %+v", st)
+			}
+			cached := 0
+			for i, e := range c.engines {
+				e.profiles.each(func(k prepKey, p *core.Profile) {
+					cached++
+					if p.BoundsOnly() != c.boundsOnly || (p.NumBuckets() == 0) != c.boundsOnly {
+						t.Errorf("engine %d caches %q with bound-only %v and %d entries, want bound-only %v",
+							i, k.id, p.BoundsOnly(), p.NumBuckets(), c.boundsOnly)
+					}
+				})
+			}
+			if cached < len(corpus) {
+				t.Fatalf("%d profiles cached, want at least the %d corpus records", cached, len(corpus))
+			}
+		})
 	}
 }

@@ -328,7 +328,10 @@ func TestWarmRestart(t *testing.T) {
 // TestWarmRestartConfigGate pins the warm-load validation: a sidecar
 // written under another bucket width must not warm the engine (the
 // profiles would be wrong, not just stale), and neither may an entry in the
-// retired float32 storage layout, which DecodeProfile refuses.
+// retired float32 storage layout, which DecodeProfile refuses. A profiled
+// engine must not install an exact engine's bound-only profiles, which lack
+// the entries it scores with; an exact engine installs a profiled engine's
+// full ones. Either way the answers equal a cold engine's.
 func TestWarmRestartConfigGate(t *testing.T) {
 	query := walk("q", 120, 100, 4, 10, 8)
 	reopen := func(t *testing.T, dir string, opts engine.Options) *engine.Engine {
@@ -353,6 +356,60 @@ func TestWarmRestartConfigGate(t *testing.T) {
 		warmDir(t, dir, engine.Options{Profile: &core.ProfileOptions{BucketSeconds: 30}}, query)
 		if e := reopen(t, dir, engine.Options{Profile: &core.ProfileOptions{BucketSeconds: 60}}); e.WarmLoaded() != 0 {
 			t.Fatalf("width mismatch warm-loaded %d profiles", e.WarmLoaded())
+		}
+	})
+	t.Run("mode", func(t *testing.T) {
+		profiled := engine.Options{Profile: &core.ProfileOptions{BucketSeconds: 30}}
+		for _, tc := range []struct {
+			name        string
+			write, read engine.Options
+			loaded      int
+		}{
+			{"exact-to-profiled", engine.Options{}, profiled, 0},
+			{"profiled-to-exact", profiled, engine.Options{}, 10},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				dir := t.TempDir()
+				warmDir(t, dir, tc.write, query)
+				var tops [2][]engine.Match
+				for i, disable := range []bool{false, true} {
+					st, err := store.Open(dir, store.Options{SnapshotEvery: -1, DisableSidecar: disable})
+					if err != nil {
+						t.Fatal(err)
+					}
+					o := tc.read
+					o.Corpus = st
+					e, err := engine.New(testScorer(t), o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := tc.loaded
+					if disable {
+						want = 0
+					}
+					if e.WarmLoaded() != want {
+						t.Fatalf("sidecar disabled %v: WarmLoaded=%d, want %d", disable, e.WarmLoaded(), want)
+					}
+					if tops[i], err = e.TopK(context.Background(), query, 6); err != nil {
+						t.Fatal(err)
+					}
+					if err := e.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				warm, cold := tops[0], tops[1]
+				if len(warm) != 6 || len(cold) != 6 {
+					t.Fatalf("top-k sizes %d (warm) and %d (cold), want 6", len(warm), len(cold))
+				}
+				for i := range cold {
+					if warm[i].ID != cold[i].ID || warm[i].Score != cold[i].Score {
+						t.Fatalf("TopK[%d]: %+v after the reopen, cold engine %+v", i, warm[i], cold[i])
+					}
+				}
+				if cold[0].Score <= 0 {
+					t.Fatalf("best cold score %v; the comparison needs nonzero scores", cold[0].Score)
+				}
+			})
 		}
 	})
 	t.Run("storage", func(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"sync"
 )
 
 // ErrNoSamples is returned when a density is requested from an estimator
@@ -99,8 +100,8 @@ func meanStd(xs []float64) (mean, std float64) {
 }
 
 // Estimator is a one-dimensional kernel density estimator Q̂ over a fixed
-// sample set (Gaussian kernel unless constructed with NewWithKernel). It
-// is immutable after construction and safe for concurrent use.
+// sample set (Gaussian kernel unless constructed with NewWithKernel). Its
+// estimate is fixed at construction, and it is safe for concurrent use.
 type Estimator struct {
 	samples []float64 // sorted ascending
 	h       float64
@@ -109,6 +110,9 @@ type Estimator struct {
 	kern    Kernel
 
 	// Tabulated mass values for MassFast: table[i] = Mass(tabMin + i·tabStep).
+	// The first MassFast call builds them under tableOnce; the fields are
+	// written only inside it and read only after it.
+	tableOnce       sync.Once
 	table           []float64
 	tabMin, tabStep float64
 	tabMax          float64
@@ -143,9 +147,7 @@ func NewWithKernel(samples []float64, h float64, k Kernel) (*Estimator, error) {
 	copy(s, samples)
 	sort.Float64s(s)
 	mean, std := meanStd(s)
-	e := &Estimator{samples: s, h: h, mean: mean, std: std, kern: k}
-	e.buildTable()
-	return e, nil
+	return &Estimator{samples: s, h: h, mean: mean, std: std, kern: k}, nil
 }
 
 // tableBins is the resolution of the tabulated fast path. The kernel is
@@ -166,8 +168,8 @@ const tableBins = 2048
 //
 // whose second factor itself advances by the constant ratio exp(−s²), so
 // filling the whole window costs two multiplications per node instead of
-// one exp — table construction is on the preparation path of every
-// trajectory and used to dominate matrix-scoring setup. The sweep runs as
+// one exp — table construction is paid by every interpolated trajectory
+// and used to dominate matrix-scoring setup. The sweep runs as
 // four independent lanes of stride s = 4·step (see scatterGaussian): the
 // two-multiply recurrence is a serial dependency chain, and splitting it
 // into lanes breaks the chain so the multiplies pipeline. Each lane also
@@ -332,11 +334,17 @@ func (e *Estimator) massExact(v float64) float64 {
 	return e.Density(v) * e.h
 }
 
-// MassFast evaluates Mass via the precomputed table with linear
+// MassFast evaluates Mass via the tabulated kernel mass with linear
 // interpolation. It is the hot path of the S-T probability estimator: a
 // similarity computation evaluates the transition mass millions of times,
 // and the exact sum over samples would dominate the runtime.
+//
+// The first call builds the table (see buildTable), so an estimator that
+// is never asked for a transition — a trajectory that a query's filter
+// rejects before interpolating it — never pays for one. Later calls pay
+// one atomic load and one branch for the check.
 func (e *Estimator) MassFast(v float64) float64 {
+	e.tableOnce.Do(e.buildTable)
 	if v <= e.tabMin || v >= e.tabMax {
 		return 0
 	}
