@@ -85,7 +85,7 @@ func (m *Measure) AppendPrepared(old *Prepared, tail []model.Sample) (*Prepared,
 		MaxSupportCells:   m.maxSupp,
 		SpeedSlack:        m.slack,
 	}
-	p := &Prepared{Tr: tr, est: est, obs: make([]stprob.Dist, len(samples))}
+	p := &Prepared{Tr: tr, est: est, obs: make([]stprob.Dist, len(samples)), modelBytes: spec.MemoryBytes}
 	copy(p.obs, old.obs)
 	for i := n; i < len(samples); i++ {
 		p.obs[i] = est.ObservedDist(samples[i].Loc)

@@ -202,13 +202,39 @@ func (m *Measure) buildBoundData(prof *Profile, p *Prepared) {
 	// bucketIndex (not the profile loop's bucket-end comparison): floor and
 	// float division are monotone, so a run whose bucket falls outside the
 	// partner's [b0, b1] provably lies outside the partner's span and can be
-	// skipped without touching the score.
-	for si := 0; si < len(samples); {
+	// skipped without touching the score. A run carries mass exactly when
+	// one of its observations does (the sum keeps every cell), so a first
+	// pass counts those runs and the run slices are allocated once, left
+	// nil when none carries mass (as DecodeProfile leaves them).
+	runEnd := func(si int) (int64, int) {
 		b := bucketIndex(samples[si].T, w)
 		sj := si + 1
 		for sj < len(samples) && bucketIndex(samples[sj].T, w) == b {
 			sj++
 		}
+		return b, sj
+	}
+	runs := 0
+	for si := 0; si < len(samples); {
+		_, sj := runEnd(si)
+		for _, d := range p.obs[si:sj] {
+			if !d.IsZero() {
+				runs++
+				break
+			}
+		}
+		si = sj
+	}
+	if runs > 0 {
+		prof.bndBuckets = make([]int64, 0, runs)
+		prof.bndFirst = make([]int32, 0, runs)
+		prof.bndCount = make([]int32, 0, runs)
+		prof.bndDist = make([]stprob.Dist, 0, runs)
+		prof.bndBox = make([]cellBox, 0, runs)
+		prof.bndMass = make([]float64, 0, runs)
+	}
+	for si := 0; si < len(samples); {
+		b, sj := runEnd(si)
 		if sum := sumObsDists(p.obs[si:sj]); !sum.IsZero() {
 			box, _, mass := distStats(sum, prof.nx)
 			prof.bndBuckets = append(prof.bndBuckets, b)

@@ -153,6 +153,25 @@ func (p *Profile) HasBounds() bool { return p.sufW != nil }
 // RefineThreshold read and no scoring entries.
 func (p *Profile) BoundsOnly() bool { return p.boundsOnly }
 
+// BoundState returns p's bound state alone: a bound-only profile equal to
+// the one ProfileOptions.BoundsOnly builds from the same trajectory, which
+// shares p's bound data (profiles are immutable). The bound state never
+// reads the scoring entries, so an engine that scores exactly keeps this
+// instead of a full profile. p must carry bounds; a bound-only p is
+// returned as is.
+func (p *Profile) BoundState() *Profile {
+	if p.boundsOnly {
+		return p
+	}
+	q := *p
+	q.boundsOnly = true
+	q.buckets, q.weights, q.dists, q.cells, q.probs = nil, nil, nil, nil, nil
+	q.entryBox, q.entryMax, q.entrySum = nil, nil, nil
+	q.sufW = []int64{0}
+	q.maxEntryMax, q.maxEntrySum = 0, 0
+	return &q
+}
+
 // MemoryBytes estimates the profile's resident heap footprint: the shared
 // cell/probability backing arrays (the dominant term of a full profile),
 // the per-entry metadata, and the filter-and-refine bound state when

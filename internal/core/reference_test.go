@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -266,6 +267,8 @@ func TestSkipMatchesNonSkippingReference(t *testing.T) {
 // configuration of refConfigs: UpperBound and RefineThreshold must return
 // identical values and ok at θ = −Inf, at 0 and at the median positive
 // exact score, so an exact engine prunes and scores the same with either.
+// A full profile's BoundState must equal the bound-only build, field for
+// field, since engines keep it in place of one.
 func TestBoundsOnlyMatchesFullProfiles(t *testing.T) {
 	for _, w := range refWorlds(testing.Short()) {
 		for _, cfg := range refConfigs {
@@ -281,6 +284,9 @@ func TestBoundsOnlyMatchesFullProfiles(t *testing.T) {
 						q, err := m.Profile(p, ProfileOptions{BoundsOnly: true})
 						if err != nil {
 							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(f.BoundState(), q) {
+							t.Fatalf("%s: BoundState of the full profile differs from the bound-only build", tr.ID)
 						}
 						ps, full, bo = append(ps, p), append(full, f), append(bo, q)
 					}

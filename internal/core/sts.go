@@ -50,9 +50,10 @@ func (PersonalizedSpeed) For(tr model.Trajectory) (stprob.TransitionSpec, error)
 		return stprob.TransitionSpec{}, err
 	}
 	return stprob.TransitionSpec{
-		Trans:    sm.Transition,
-		Radial:   sm.TransitionRadial,
-		MaxSpeed: sm.MaxSpeed(),
+		Trans:       sm.Transition,
+		Radial:      sm.TransitionRadial,
+		MaxSpeed:    sm.MaxSpeed(),
+		MemoryBytes: sm.Estimator().MemoryBytes,
 	}, nil
 }
 
@@ -268,15 +269,19 @@ type Prepared struct {
 	est *stprob.Estimator
 	// obs[i] is the noise distribution at Tr.Samples[i].
 	obs []stprob.Dist
+	// modelBytes is the transition spec's MemoryBytes (nil for models
+	// shared across trajectories).
+	modelBytes func() int
 }
 
 // MemoryBytes estimates the prepared state's resident heap footprint: the
-// trajectory's samples plus the cached per-observation noise
-// distributions. Cache observability sums it per cached entry. It leaves
-// out the KDE table of a personalized transition model (2,048 bins, 16 KB
-// at the default resolution, larger than the distributions): the first
-// interpolation builds it after the cache has sized the entry, and a
-// trajectory that is only bounded never builds it.
+// trajectory's samples, the cached per-observation noise distributions,
+// and a personalized transition model's own state — its sorted speeds
+// and, once the first interpolation has built it, its KDE mass table
+// (2,048 bins, 16 KB at the default resolution, larger than the
+// distributions). The table appears after preparation, so the estimate
+// grows when it is built; cache observability sums it per cached entry
+// when the stats are read. It is safe to call concurrently with scoring.
 func (p *Prepared) MemoryBytes() int {
 	const (
 		sampleSize = 24 // geo.Point + T
@@ -285,6 +290,9 @@ func (p *Prepared) MemoryBytes() int {
 	b := len(p.Tr.Samples)*sampleSize + len(p.obs)*distSize
 	for _, d := range p.obs {
 		b += len(d.Cells) * (8 + 8)
+	}
+	if p.modelBytes != nil {
+		b += p.modelBytes()
 	}
 	return b
 }
@@ -313,7 +321,7 @@ func (m *Measure) Prepare(tr model.Trajectory) (*Prepared, error) {
 		MaxSupportCells:   m.maxSupp,
 		SpeedSlack:        m.slack,
 	}
-	p := &Prepared{Tr: tr, est: est, obs: make([]stprob.Dist, tr.Len())}
+	p := &Prepared{Tr: tr, est: est, obs: make([]stprob.Dist, tr.Len()), modelBytes: spec.MemoryBytes}
 	for i, s := range tr.Samples {
 		p.obs[i] = est.ObservedDist(s.Loc)
 	}

@@ -9,11 +9,18 @@ import (
 )
 
 // prepKey identifies one trajectory's derived state (prepared estimator or
-// bucketed profile). Corpus trajectories are keyed by {id, n, gen}: the
+// bucketed profile). A corpus record is keyed by refKey, {id, n, gen}: the
 // store's record generation is unique per (re)encoded record and never
-// zero, so replacements can never collide with their predecessors.
-// External trajectories (queries, batch datasets) carry gen 0 and pin the
-// identity of the backing sample array instead — trajectory IDs alone are
+// zero, so replacements can never collide with their predecessors. Every
+// record has that one identity, whichever way its samples reach the
+// engine: a top-k candidate scan decodes it from its Ref, while a by-ID
+// request hands back the array that Engine.Get or Subset returned, which
+// the engine recognizes (see Engine.keyFor) and keys under the same
+// refKey. A mutation therefore forgets the record's only copy.
+//
+// Any other trajectory (a query or batch dataset built by the caller)
+// carries gen 0 and pins the identity of its backing sample array instead
+// (keyOf): its ID alone names no record version, and trajectory IDs are
 // not unique across datasets (matching experiments reuse an object's ID
 // for both halves of a split). Trajectories handed to the engine must not
 // be mutated in place afterwards — the standard contract for sharing
@@ -95,7 +102,6 @@ type cacheEntry[V any] struct {
 	done  bool
 	v     V
 	err   error
-	bytes int64 // size estimate counted into the shard's total
 }
 
 // cacheShard is one independently locked slice of the cache: an LRU with
@@ -108,12 +114,10 @@ type cacheShard[V any] struct {
 	cap     int        // 0 = unbounded
 	order   *list.List // front = most recently used; values are *cacheEntry[V]
 	entries map[prepKey]*list.Element
-	size    func(V) int // nil = no byte accounting
 
 	hits      uint64
 	misses    uint64
 	evictions uint64
-	bytes     int64
 }
 
 // cacheShards is the shard count of a sharded cache (a power of two).
@@ -135,17 +139,21 @@ type lruCache[V any] struct {
 	shards []*cacheShard[V]
 	mask   uint64
 	cap    int
+	size   func(V) int // nil = no byte accounting
 }
 
 // newLRUCache builds a cache bounded to capacity entries (0 = unbounded).
 // size, when non-nil, estimates one value's resident bytes for the stats'
-// footprint gauge.
+// footprint gauge. It is read when the stats are, so a value that grows
+// after insertion (a Prepared whose KDE table its first interpolation
+// builds) is counted at its current size; size must therefore be safe to
+// call concurrently with the value's use.
 func newLRUCache[V any](capacity int, size func(V) int) *lruCache[V] {
 	n := cacheShards
 	if capacity > 0 && capacity < minShardedCap {
 		n = 1
 	}
-	c := &lruCache[V]{shards: make([]*cacheShard[V], n), mask: uint64(n - 1), cap: capacity}
+	c := &lruCache[V]{shards: make([]*cacheShard[V], n), mask: uint64(n - 1), cap: capacity, size: size}
 	for i := range c.shards {
 		scap := 0
 		if capacity > 0 {
@@ -158,7 +166,6 @@ func newLRUCache[V any](capacity int, size func(V) int) *lruCache[V] {
 			cap:     scap,
 			order:   list.New(),
 			entries: make(map[prepKey]*list.Element),
-			size:    size,
 		}
 	}
 	return c
@@ -201,9 +208,6 @@ func (c *lruCache[V]) get(key prepKey, build func() (V, error)) (V, error) {
 			s.order.Remove(el)
 			delete(s.entries, key)
 		}
-	} else if s.size != nil {
-		e.bytes = int64(s.size(v))
-		s.bytes += e.bytes
 	}
 	s.mu.Unlock()
 	close(e.ready)
@@ -225,7 +229,6 @@ func (s *cacheShard[V]) evictLocked() {
 			s.order.Remove(el)
 			delete(s.entries, e.key)
 			s.evictions++
-			s.bytes -= e.bytes
 		}
 		el = prev
 	}
@@ -244,10 +247,6 @@ func (c *lruCache[V]) put(key prepKey, v V) {
 	}
 	e := &cacheEntry[V]{key: key, ready: make(chan struct{}), done: true, v: v}
 	close(e.ready)
-	if s.size != nil {
-		e.bytes = int64(s.size(v))
-		s.bytes += e.bytes
-	}
 	s.entries[key] = s.order.PushFront(e)
 	s.evictLocked()
 }
@@ -284,15 +283,15 @@ func (c *lruCache[V]) forget(key prepKey) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {
-		if e := el.Value.(*cacheEntry[V]); e.done {
+		if el.Value.(*cacheEntry[V]).done {
 			s.order.Remove(el)
 			delete(s.entries, key)
-			s.bytes -= e.bytes
 		}
 	}
 	s.mu.Unlock()
 }
 
+// stats reads the counters and sums the completed entries' current sizes.
 func (c *lruCache[V]) stats() CacheStats {
 	out := CacheStats{Cap: c.cap}
 	for _, s := range c.shards {
@@ -301,7 +300,13 @@ func (c *lruCache[V]) stats() CacheStats {
 		out.Misses += s.misses
 		out.Evictions += s.evictions
 		out.Size += len(s.entries)
-		out.Bytes += s.bytes
+		if c.size != nil {
+			for _, el := range s.entries {
+				if e := el.Value.(*cacheEntry[V]); e.done {
+					out.Bytes += int64(c.size(e.v))
+				}
+			}
+		}
 		s.mu.Unlock()
 	}
 	return out

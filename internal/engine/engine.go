@@ -26,6 +26,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/stslib/sts/internal/core"
 	"github.com/stslib/sts/internal/model"
@@ -132,10 +133,37 @@ type Engine struct {
 	byID   map[string]int
 	free   []int
 
+	// handed maps a record ID to the decoded array Get or Subset last
+	// handed out for it (*handout), so that array resolves under the
+	// record's refKey (keyFor). It is read without e.mu on every scored
+	// side; entries are written under e.mu (read-locked, with the record's
+	// generation checked) and deleted by the mutations that forget the
+	// record's derived state. It holds at most handCap entries, the
+	// capacity of the store's decode cache, and evicts in that cache's
+	// order (rememberLocked), so it keeps no more decoded arrays alive
+	// than the cache holds. handMu guards handLen and eviction; handTick
+	// orders handouts by their last Get or Subset.
+	handed   sync.Map
+	handMu   sync.Mutex
+	handLen  int
+	handCap  int
+	handTick atomic.Uint64
+
 	// warmProfiles counts profiles installed from the store's derived-
 	// state sidecar at construction — the engine started scoring-warm,
 	// not just data-warm.
 	warmProfiles int
+}
+
+// handout is one decoded record array as Get or Subset handed it out:
+// first is its first sample, key the refKey of the record generation it
+// was decoded from, tick the engine's handout clock at its last Get or
+// Subset. Holding first keeps the array alive, so no other trajectory can
+// reuse its address while the entry exists.
+type handout struct {
+	key   prepKey
+	first *model.Sample
+	tick  atomic.Uint64
 }
 
 // corpusSlot holds one corpus entry's record handle; freed slots are
@@ -189,6 +217,7 @@ func New(scorer Scorer, opts Options) (*Engine, error) {
 		cache:   newLRUCache(capacity, (*core.Prepared).MemoryBytes),
 		corpus:  corpus,
 		byID:    make(map[string]int),
+		handCap: corpus.Stats().DecodeCache,
 	}
 	if ms, ok := scorer.(MeasureScorer); ok {
 		e.measure = ms.Measure()
@@ -245,10 +274,13 @@ func (e *Engine) setBoundOpts(bounds bool) {
 // generation, so validation here is about configuration: a profile only
 // warms the cache if it was built with this engine's bucket width, carries
 // bound state, and carries what the engine scores with — a profiled engine
-// skips bound-only profiles, while an exact engine reads only bound state
-// and accepts both kinds (the record identity is re-checked defensively
-// anyway). Returns the number of profiles warm-loaded; no-op for
-// in-memory corpora and engines without a profile cache.
+// skips bound-only profiles, while an exact engine reads only bound state,
+// so it accepts both kinds and keeps a full profile's bound state alone,
+// exactly the profile it would build itself (the record identity is
+// re-checked defensively anyway). Installed profiles serve every request
+// for their records, by-ID queries included (keyFor). Returns the number
+// of profiles warm-loaded; no-op for in-memory corpora and engines without
+// a profile cache.
 func (e *Engine) warmFromSidecar() int {
 	sc, ok := e.corpus.(store.SidecarCorpus)
 	if !ok || e.measure == nil || e.profiles == nil {
@@ -276,6 +308,9 @@ func (e *Engine) warmFromSidecar() int {
 		if ref.Gen != ent.Gen || prof.SampleCount() != ref.N {
 			continue
 		}
+		if e.profOpts == nil {
+			prof = prof.BoundState()
+		}
 		e.profiles.put(refKey(ref), prof)
 		loaded++
 	}
@@ -284,8 +319,9 @@ func (e *Engine) warmFromSidecar() int {
 }
 
 // captureSidecar enumerates the profile cache for the store's snapshot
-// writer. Only corpus-record entries are captured — external query
-// profiles carry generation 0 and have no record to bind to. The store
+// writer. Only corpus-record entries are captured — profiles of
+// trajectories that are not resident records carry generation 0 and have
+// no record to bind to. The store
 // re-filters captured entries against the snapshot's refs, so a stale
 // generation here is merely skipped, never persisted.
 func (e *Engine) captureSidecar() []store.SidecarEntry {
@@ -360,8 +396,120 @@ func (e *Engine) Len() int {
 // Get decodes the corpus trajectory with the given ID from the backing
 // store. Repeated lookups of the same record are served from the store's
 // decode cache (same backing array); callers must not mutate the result.
+// The engine remembers the array it handed out, so scoring the result
+// resolves the record's own cached derived state (keyFor).
+//
+// An array already remembered returns at once. Otherwise Get looks the
+// record up again between two reads of its generation and remembers the
+// array only when both read the same: every mutation holds e.mu from its
+// store write to its slot update, so the array was then decoded from that
+// generation. The lookups run without e.mu, since a decode cache miss
+// decodes the whole record.
 func (e *Engine) Get(id string) (model.Trajectory, bool) {
-	return e.corpus.Get(id)
+	tr, ok := e.corpus.Get(id)
+	if !ok {
+		return tr, false
+	}
+	if e.touch(tr) {
+		return tr, true
+	}
+	e.mu.RLock()
+	ref := e.refLocked(id)
+	e.mu.RUnlock()
+	if tr, ok = e.corpus.Get(id); ok && ref.Gen != 0 {
+		e.mu.RLock()
+		if e.refLocked(id).Gen == ref.Gen {
+			e.rememberLocked(ref, tr)
+		}
+		e.mu.RUnlock()
+	}
+	return tr, ok
+}
+
+// refLocked returns id's current record (the zero Ref when absent).
+// Caller holds e.mu.
+func (e *Engine) refLocked(id string) store.Ref {
+	if slot, ok := e.byID[id]; ok {
+		return e.slots[slot].ref
+	}
+	return store.Ref{}
+}
+
+// rememberLocked records tr as the array handed out for ref's generation.
+// Caller holds e.mu and has checked that ref is the current record of its
+// ID and that tr was decoded from it.
+//
+// A record it adds past handCap drops the least recently handed-out one.
+// That is the decode cache's own victim: Get and Subset are the cache's
+// only readers and touch both in the same order, so both keep the same
+// records. A dropped record's arrays resolve through keyOf until its next
+// Get or Subset remembers one again. A store without a decode cache hands
+// out a fresh array per lookup, so nothing is remembered.
+func (e *Engine) rememberLocked(ref store.Ref, tr model.Trajectory) {
+	if e.handCap == 0 || ref.N == 0 || len(tr.Samples) != ref.N {
+		return
+	}
+	h := &handout{key: refKey(ref), first: &tr.Samples[0]}
+	h.tick.Store(e.handTick.Add(1))
+	e.handMu.Lock()
+	defer e.handMu.Unlock()
+	if _, replaced := e.handed.Swap(ref.ID, h); replaced {
+		return
+	}
+	if e.handLen++; e.handLen <= e.handCap {
+		return
+	}
+	var (
+		victim any
+		oldest = uint64(math.MaxUint64)
+	)
+	e.handed.Range(func(id, v any) bool {
+		if t := v.(*handout).tick.Load(); t < oldest {
+			victim, oldest = id, t
+		}
+		return true
+	})
+	e.handed.Delete(victim)
+	e.handLen--
+}
+
+// handoutOf returns the handout tr is, nil when tr is not an array Get or
+// Subset handed out. It takes no lock: one map load and two compares on
+// every scored side.
+func (e *Engine) handoutOf(tr model.Trajectory) *handout {
+	if len(tr.Samples) == 0 {
+		return nil
+	}
+	v, ok := e.handed.Load(tr.ID)
+	if !ok {
+		return nil
+	}
+	h := v.(*handout)
+	if h.first != &tr.Samples[0] || h.key.n != len(tr.Samples) {
+		return nil
+	}
+	return h
+}
+
+// touch reports whether tr is a remembered array and, if so, marks it
+// handed out now, as the store's Get just marked it in the decode cache.
+func (e *Engine) touch(tr model.Trajectory) bool {
+	h := e.handoutOf(tr)
+	if h == nil {
+		return false
+	}
+	h.tick.Store(e.handTick.Add(1))
+	return true
+}
+
+// keyFor is the cache key of tr's derived state: its record's refKey when
+// tr is a resident record's array as Get or Subset handed it out, keyOf
+// for any other trajectory.
+func (e *Engine) keyFor(tr model.Trajectory) prepKey {
+	if h := e.handoutOf(tr); h != nil {
+		return h.key
+	}
+	return keyOf(tr)
 }
 
 // IDs returns the corpus trajectory IDs, sorted, from the backing store.
@@ -373,7 +521,8 @@ func (e *Engine) IDs() []string {
 // (engine mutations are excluded for the duration), preserving the request
 // order; an empty ids selects the whole corpus in sorted-ID order. Unknown
 // IDs fail the whole call so partial datasets never reach a linking or
-// batch-scoring run silently.
+// batch-scoring run silently. Like Get, it remembers the arrays it hands
+// out; the read lock it holds pins every record's generation.
 func (e *Engine) Subset(ids []string) (model.Dataset, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -385,6 +534,9 @@ func (e *Engine) Subset(ids []string) (model.Dataset, error) {
 		tr, ok := e.corpus.Get(id)
 		if !ok {
 			return nil, fmt.Errorf("engine: trajectory %q %w", id, ErrNotFound)
+		}
+		if !e.touch(tr) {
+			e.rememberLocked(e.refLocked(id), tr)
 		}
 		out = append(out, tr)
 	}
@@ -522,10 +674,13 @@ func (e *Engine) canPrune() bool {
 	return !e.noPrune && e.measure != nil && e.profiles != nil
 }
 
-// prepared returns the cached prepared state for tr, preparing at most
-// once concurrently per trajectory.
-func (e *Engine) prepared(tr model.Trajectory) (*core.Prepared, error) {
-	return e.cache.get(keyOf(tr), func() (*core.Prepared, error) {
+// prepared returns the cached prepared state for tr, whose cache key is
+// key (keyFor(tr), resolved once by the caller), preparing at most once
+// concurrently per trajectory. A resident record's array from Get or
+// Subset thus resolves under its refKey and is prepared from the samples
+// in hand.
+func (e *Engine) prepared(key prepKey, tr model.Trajectory) (*core.Prepared, error) {
+	return e.cache.get(key, func() (*core.Prepared, error) {
 		p, err := e.measure.Prepare(tr)
 		if err != nil {
 			return nil, fmt.Errorf("engine: prepare %q: %w", tr.ID, err)
@@ -534,15 +689,15 @@ func (e *Engine) prepared(tr model.Trajectory) (*core.Prepared, error) {
 	})
 }
 
-// profiled returns the cached bucketed profile for tr, building at most
-// once concurrently per trajectory. The build routes through the prepared
-// cache, so a trajectory's estimator state is shared between the exact and
-// profiled paths. Profiled engines score with these profiles; exact ones
-// use them only for the filter phase's upper bounds, so theirs are
-// bound-only.
-func (e *Engine) profiled(tr model.Trajectory) (*core.Profile, error) {
-	return e.profiles.get(keyOf(tr), func() (*core.Profile, error) {
-		p, err := e.prepared(tr)
+// profiled returns the cached bucketed profile for tr under key (see
+// prepared), building at most once concurrently per trajectory. The build
+// routes through the prepared cache, so a trajectory's estimator state is
+// shared between the exact and profiled paths. Profiled engines score
+// with these profiles; exact ones use them only for the filter phase's
+// upper bounds, so theirs are bound-only.
+func (e *Engine) profiled(key prepKey, tr model.Trajectory) (*core.Profile, error) {
+	return e.profiles.get(key, func() (*core.Profile, error) {
+		p, err := e.prepared(key, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -572,9 +727,12 @@ func (e *Engine) preparedRef(ref store.Ref) (*core.Prepared, error) {
 }
 
 // profiledRef is profiled for a corpus record (decode-on-miss, see
-// preparedRef).
-func (e *Engine) profiledRef(ref store.Ref) (*core.Profile, error) {
-	return e.profiles.get(refKey(ref), func() (*core.Profile, error) {
+// preparedRef). built is the prepared state this call built the profile
+// from, nil when the profile was cached: a caller that refines the record
+// next keeps it, since a small prepared cache may have evicted it by then.
+func (e *Engine) profiledRef(ref store.Ref) (*core.Profile, *core.Prepared, error) {
+	var built *core.Prepared
+	prof, err := e.profiles.get(refKey(ref), func() (*core.Profile, error) {
 		p, err := e.preparedRef(ref)
 		if err != nil {
 			return nil, err
@@ -583,12 +741,21 @@ func (e *Engine) profiledRef(ref store.Ref) (*core.Profile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("engine: profile %q: %w", ref.ID, err)
 		}
+		built = p
 		return prof, nil
 	})
+	return prof, built, err
 }
 
-// forgetDerived drops every cached derived state of one trajectory.
+// forgetDerived drops every cached derived state of one record generation
+// and the array Get handed out for it. Caller holds e.mu, so no Get or
+// Subset can record that generation's array again.
 func (e *Engine) forgetDerived(key prepKey) {
+	e.handMu.Lock()
+	if _, ok := e.handed.LoadAndDelete(key.id); ok {
+		e.handLen--
+	}
+	e.handMu.Unlock()
 	e.cache.forget(key)
 	if e.profiles != nil {
 		e.profiles.forget(key)

@@ -26,85 +26,121 @@ func (e *Engine) ScoreBatch(ctx context.Context, rows, cols model.Dataset, mask 
 // resolved once through the engine's LRU caches — repeated batches over the
 // same data hit the cache instead of re-estimating speed models — and
 // trajectories that appear in no admissible pair are never prepared at all
-// (preparation is the dominant per-trajectory cost). A profiled engine
-// scores through cached bucketed S-T profiles, collapsing every pair to a
-// sparse dot-product merge. On an engine that can prune, a finite floor is
-// enforced by filter-and-refine (scoreMinPair): pairs provably below it
-// collapse to −Inf by the admissible profile upper bound or by early-exited
-// refinement, so most never pay full scoring, while every entry at or
-// above the floor is bit-identical to the unfloored matrix. This is the one
-// rows × cols kernel: ScoreBatch, Sharded and the one-shot ScoreMatrix all
-// run it.
+// (preparation is the dominant per-trajectory cost). A resident record
+// passed as Get or Subset returned it resolves its record's own entries. A
+// profiled engine scores through cached bucketed S-T profiles, collapsing
+// every pair to a sparse dot-product merge. On an engine that can prune, a
+// finite floor is enforced by filter-and-refine (scoreMinPair): pairs
+// provably below it collapse to −Inf by the admissible profile upper bound
+// or by early-exited refinement, so most never pay full scoring, while
+// every entry at or above the floor is bit-identical to the unfloored
+// matrix. This is the one rows × cols kernel: ScoreBatch, Sharded and the
+// one-shot ScoreMatrix all run it, as resolve then scoreRows.
 func (e *Engine) ScoreBatchMin(ctx context.Context, rows, cols model.Dataset, mask [][]bool, minScore float64) ([][]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	b := e.newBatch(rows, cols, mask, minScore)
+	if err := b.resolve(ctx, e.workers, func(string) *Engine { return e }); err != nil {
+		return nil, err
+	}
+	return e.scoreRows(ctx, b, 0, len(rows))
+}
+
+// batch is one rows × cols request and the derived state of its sides:
+// side k is rows[k] for k < len(rows) and cols[k-len(rows)] after. prof
+// and prep name the state the engines' shared configuration scores with
+// under minScore, prune whether the floor is enforced bound first.
+// resolve fills the state of every needed side; any engine of that
+// configuration can then score any block of rows.
+type batch struct {
+	rows, cols model.Dataset
+	mask       [][]bool
+	minScore   float64
+	prof, prep bool
+	prune      bool
+	profs      []*core.Profile
+	preps      []*core.Prepared
+}
+
+func (e *Engine) newBatch(rows, cols model.Dataset, mask [][]bool, minScore float64) *batch {
 	if math.IsNaN(minScore) {
 		minScore = math.Inf(-1)
 	}
-	n, m := len(rows), len(cols)
-	if e.measure == nil {
-		return matrix(ctx, n, m, e.workers, minScore, func(i, j int) (float64, error) {
-			if mask != nil && !mask[i][j] {
-				return math.Inf(-1), nil
-			}
-			return e.scorer.Score(rows[i], cols[j])
-		})
+	b := &batch{rows: rows, cols: cols, mask: mask, minScore: minScore}
+	if e.measure != nil {
+		b.prune = !math.IsInf(minScore, -1) && e.canPrune()
+		b.prof = e.profOpts != nil || b.prune
+		b.prep = e.profOpts == nil
 	}
-	profiled := e.profOpts != nil
-	prune := !math.IsInf(minScore, -1) && e.canPrune()
-	var pm *core.Measure // nil selects the profiled scorer in scoreMinPair
-	if !profiled {
-		pm = e.measure
-	}
+	return b
+}
 
-	// Side state is indexed rows first, then cols: row i at i, col j at
-	// n+j. The LRU caches dedupe trajectories shared between the sides (or
-	// with earlier batches); lookups ask the profile cache before the
-	// prepared one.
-	needed := neededSides(n, m, mask)
-	preps := make([]*core.Prepared, n+m)
-	profs := make([]*core.Profile, n+m)
-	if err := ForEach(ctx, n+m, e.workers, func(k int) error {
+// resolve fills the derived state of every side that appears in an
+// admissible pair, each from the caches of owner(its ID), on up to
+// workers goroutines. The caches dedupe trajectories shared between the
+// sides (or with earlier batches); lookups ask the profile cache before
+// the prepared one.
+func (b *batch) resolve(ctx context.Context, workers int, owner func(id string) *Engine) error {
+	if !b.prof && !b.prep {
+		return nil
+	}
+	n, m := len(b.rows), len(b.cols)
+	needed := neededSides(n, m, b.mask)
+	b.profs = make([]*core.Profile, n+m)
+	b.preps = make([]*core.Prepared, n+m)
+	return ForEach(ctx, n+m, workers, func(k int) error {
 		if !needed[k] {
 			return nil
 		}
 		var tr model.Trajectory
 		if k < n {
-			tr = rows[k]
+			tr = b.rows[k]
 		} else {
-			tr = cols[k-n]
+			tr = b.cols[k-n]
 		}
+		e := owner(tr.ID)
+		key := e.keyFor(tr)
 		var err error
-		if profiled || prune {
-			if profs[k], err = e.profiled(tr); err != nil {
+		if b.prof {
+			if b.profs[k], err = e.profiled(key, tr); err != nil {
 				return err
 			}
 		}
-		if !profiled {
-			preps[k], err = e.prepared(tr)
+		if b.prep {
+			b.preps[k], err = e.prepared(key, tr)
 		}
 		return err
-	}); err != nil {
-		return nil, err
-	}
+	})
+}
 
+// scoreRows scores rows [lo, hi) of a resolved batch against every column
+// on e's workers; e's prune counters count the block's decisions.
+func (e *Engine) scoreRows(ctx context.Context, b *batch, lo, hi int) ([][]float64, error) {
+	n := len(b.rows)
 	var st pruneCounters
 	defer func() {
 		e.pstats.add(st.considered.Load(), st.boundPruned.Load(), st.earlyExited.Load(), st.refined.Load())
 	}()
-	return matrix(ctx, n, m, e.workers, minScore, func(i, j int) (float64, error) {
-		if mask != nil && !mask[i][j] {
+	var pm *core.Measure // nil selects the profiled scorer in scoreMinPair
+	if e.profOpts == nil {
+		pm = e.measure
+	}
+	return matrix(ctx, hi-lo, len(b.cols), e.workers, b.minScore, func(i, j int) (float64, error) {
+		i += lo
+		if b.mask != nil && !b.mask[i][j] {
 			return math.Inf(-1), nil
 		}
-		a, b := i, n+j
+		x, y := i, n+j
 		switch {
-		case prune:
-			return scoreMinPair(pm, preps[a], preps[b], profs[a], profs[b], minScore, &st)
-		case profiled:
-			return core.SimilarityProfiled(profs[a], profs[b])
+		case e.measure == nil:
+			return e.scorer.Score(b.rows[i], b.cols[j])
+		case b.prune:
+			return scoreMinPair(pm, b.preps[x], b.preps[y], b.profs[x], b.profs[y], b.minScore, &st)
+		case e.profOpts != nil:
+			return core.SimilarityProfiled(b.profs[x], b.profs[y])
 		default:
-			return e.measure.SimilarityPrepared(preps[a], preps[b])
+			return e.measure.SimilarityPrepared(b.preps[x], b.preps[y])
 		}
 	})
 }
@@ -144,9 +180,13 @@ func ScoreMatrix(ctx context.Context, s Scorer, rows, cols model.Dataset, mask [
 }
 
 // neededSides marks the rows (indices 0..n-1) and columns (n..n+m-1) that
-// appear in at least one admissible pair. A nil mask needs everything.
+// appear in at least one admissible pair. A nil mask needs everything
+// unless one side is empty.
 func neededSides(n, m int, mask [][]bool) []bool {
 	needed := make([]bool, n+m)
+	if n == 0 || m == 0 {
+		return needed
+	}
 	if mask == nil {
 		for k := range needed {
 			needed[k] = true

@@ -11,11 +11,14 @@
 // shards filter-and-refine against an ever-tighter threshold — the same
 // bound-forwarding the distance-bounded search literature uses for
 // distributed pruning. Batch scoring fans contiguous row blocks across
-// shards. Results are bit-identical to a single engine over the same
-// corpus because every shard runs the same exact-or-certified scoring
-// paths; only float-equal score ties can order differently (the
-// coordinator breaks them by trajectory ID, a single engine by corpus
-// slot — both deterministic).
+// shards. Every trajectory a query scores — the top-k query, each batch
+// row and column — resolves its derived state once, on the shard that
+// owns its ID, and the shards that score share those pointers, so a
+// resident record has one cached copy however it is requested. Results
+// are bit-identical to a single engine over the same corpus because every
+// shard runs the same exact-or-certified scoring paths; only float-equal
+// score ties can order differently (the coordinator breaks them by
+// trajectory ID, a single engine by corpus slot — both deterministic).
 package engine
 
 import (
@@ -324,8 +327,10 @@ func (s *Sharded) TopK(ctx context.Context, query model.Trajectory, k int) ([]Ma
 // candidate scores strictly below a full heap's k-th best (shard results
 // retain floor ties), and it is what makes scatter-gather cheap: by the
 // second wave most of each shard's corpus is rejected by the admissible
-// upper bounds without exact scoring. Scores are bit-identical to a
-// single engine's; ties break by trajectory ID (see worseMergedMatch).
+// upper bounds without exact scoring. The query's derived state resolves
+// once, on the shard that owns its ID, and every shard scores with it.
+// Scores are bit-identical to a single engine's; ties break by trajectory
+// ID (see worseMergedMatch).
 func (s *Sharded) TopKOpts(ctx context.Context, query model.Trajectory, opts TopKOptions) ([]Match, error) {
 	k := opts.K
 	if k <= 0 {
@@ -338,6 +343,7 @@ func (s *Sharded) TopKOpts(ctx context.Context, query model.Trajectory, opts Top
 	if math.IsNaN(minScore) {
 		minScore = math.Inf(-1)
 	}
+	q := s.shardFor(query.ID).newQuery(query)
 	h := newMatchHeap(k, worseMergedMatch)
 	parts := make([][]Match, s.fanOut)
 	for start := 0; start < len(s.shards); start += s.fanOut {
@@ -351,7 +357,7 @@ func (s *Sharded) TopKOpts(ctx context.Context, query model.Trajectory, opts Top
 		}
 		wave := s.shards[start:end]
 		if err := ForEach(ctx, len(wave), len(wave), func(i int) error {
-			res, err := wave[i].TopKOpts(ctx, query, TopKOptions{
+			res, err := wave[i].topK(ctx, q, TopKOptions{
 				K:          k,
 				MinScore:   floor,
 				Exhaustive: opts.Exhaustive,
@@ -375,22 +381,20 @@ func (s *Sharded) ScoreBatch(ctx context.Context, rows, cols model.Dataset, mask
 	return s.ScoreBatchMin(ctx, rows, cols, mask, math.Inf(-1))
 }
 
-// ScoreBatchMin fans contiguous row blocks across shards, each block scored
-// by one shard engine with its own caches and workers against minScore;
-// cell values are bit-identical to a single engine's ScoreBatchMin (same
-// kernel, same snapshot-free transient data).
+// ScoreBatchMin resolves every needed row and column on the shard that
+// owns its ID, then partitions rows into one contiguous block per shard
+// (at most len(rows) blocks) and scores block b on shard b, at most fanOut
+// blocks concurrently, each with that shard's workers and prune counters;
+// results are reassembled in row order. Cell values are bit-identical to a
+// single engine's ScoreBatchMin (same kernel, same snapshot-free
+// transient data).
 func (s *Sharded) ScoreBatchMin(ctx context.Context, rows, cols model.Dataset, mask [][]bool, minScore float64) ([][]float64, error) {
-	return s.fanRows(ctx, rows, func(eng *Engine, lo, hi int) ([][]float64, error) {
-		return eng.ScoreBatchMin(ctx, rows[lo:hi], cols, sliceMask(mask, lo, hi), minScore)
-	})
-}
-
-// fanRows partitions rows into one contiguous block per shard (at most
-// len(rows) blocks) and runs block b on shard b, at most fanOut blocks
-// concurrently; results are reassembled in row order.
-func (s *Sharded) fanRows(ctx context.Context, rows model.Dataset, f func(eng *Engine, lo, hi int) ([][]float64, error)) ([][]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	b := s.shards[0].newBatch(rows, cols, mask, minScore)
+	if err := b.resolve(ctx, s.workers, s.shardFor); err != nil {
+		return nil, err
 	}
 	n := len(rows)
 	if n == 0 {
@@ -404,17 +408,17 @@ func (s *Sharded) fanRows(ctx context.Context, rows model.Dataset, f func(eng *E
 	base, rem := n/blocks, n%blocks
 	lo := 0
 	bounds := make([][2]int, blocks)
-	for b := 0; b < blocks; b++ {
+	for blk := 0; blk < blocks; blk++ {
 		hi := lo + base
-		if b < rem {
+		if blk < rem {
 			hi++
 		}
-		bounds[b] = [2]int{lo, hi}
+		bounds[blk] = [2]int{lo, hi}
 		lo = hi
 	}
-	if err := ForEach(ctx, blocks, s.fanOut, func(b int) error {
-		lo, hi := bounds[b][0], bounds[b][1]
-		part, err := f(s.shards[b], lo, hi)
+	if err := ForEach(ctx, blocks, s.fanOut, func(blk int) error {
+		lo, hi := bounds[blk][0], bounds[blk][1]
+		part, err := s.shards[blk].scoreRows(ctx, b, lo, hi)
 		if err != nil {
 			return err
 		}
@@ -424,14 +428,6 @@ func (s *Sharded) fanRows(ctx context.Context, rows model.Dataset, f func(eng *E
 		return nil, err
 	}
 	return out, nil
-}
-
-// sliceMask narrows a row mask to a block (nil stays nil).
-func sliceMask(mask [][]bool, lo, hi int) [][]bool {
-	if mask == nil {
-		return nil
-	}
-	return mask[lo:hi]
 }
 
 // Scorer returns the scorer shared by all shards.
@@ -497,6 +493,7 @@ func (s *Sharded) StoreStats() store.Stats {
 		out.Records += st.Records
 		out.LiveBytes += st.LiveBytes
 		out.ArenaBytes += st.ArenaBytes
+		out.DecodeCache += st.DecodeCache
 		out.WALBytes += st.WALBytes
 		out.Snapshots += st.Snapshots
 		out.SnapshotErrors += st.SnapshotErrors

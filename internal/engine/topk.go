@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"github.com/stslib/sts/internal/core"
@@ -103,13 +104,58 @@ func (e *Engine) TopK(ctx context.Context, query model.Trajectory, k int) ([]Mat
 
 // TopKOpts is TopK with explicit options (score floor, forced-exhaustive).
 func (e *Engine) TopKOpts(ctx context.Context, query model.Trajectory, opts TopKOptions) ([]Match, error) {
-	k := opts.K
-	if k <= 0 {
+	if opts.K <= 0 {
 		return nil, nil
 	}
 	if err := query.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoQuery, err)
 	}
+	return e.topK(ctx, e.newQuery(query), opts)
+}
+
+// topKQuery is one validated top-k query. Its derived state resolves on
+// its owner, the engine that holds its ID, at most once per query however
+// many shards score it, and each path resolves only what it reads. A
+// query that is a resident record's Get result thus shares the entries of
+// that record, which the owner's own candidate scan reads.
+type topKQuery struct {
+	tr    model.Trajectory
+	owner *Engine
+	key   prepKey // owner.keyFor(tr)
+	mu    sync.Mutex
+	prep  *core.Prepared
+	prof  *core.Profile
+}
+
+// newQuery makes tr a top-k query owned by e.
+func (e *Engine) newQuery(tr model.Trajectory) *topKQuery {
+	return &topKQuery{tr: tr, owner: e, key: e.keyFor(tr)}
+}
+
+func (q *topKQuery) prepared() (*core.Prepared, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var err error
+	if q.prep == nil {
+		q.prep, err = q.owner.prepared(q.key, q.tr)
+	}
+	return q.prep, err
+}
+
+func (q *topKQuery) profiled() (*core.Profile, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var err error
+	if q.prof == nil {
+		q.prof, err = q.owner.profiled(q.key, q.tr)
+	}
+	return q.prof, err
+}
+
+// topK answers q over e's corpus: a single engine's TopKOpts, or one
+// shard's part of a Sharded query.
+func (e *Engine) topK(ctx context.Context, q *topKQuery, opts TopKOptions) ([]Match, error) {
+	k := opts.K
 	minScore := opts.MinScore
 	if math.IsNaN(minScore) {
 		minScore = math.Inf(-1)
@@ -121,23 +167,23 @@ func (e *Engine) TopKOpts(ctx context.Context, query model.Trajectory, opts TopK
 	// With every candidate in the result anyway, bounds cannot save work.
 	trivial := len(cands) <= k && math.IsInf(minScore, -1)
 	if opts.Exhaustive || trivial || !e.canPrune() {
-		return e.topKExhaustive(ctx, query, cands, k, minScore)
+		return e.topKExhaustive(ctx, q, cands, k, minScore)
 	}
-	return e.topKPruned(ctx, query, cands, k, minScore)
+	return e.topKPruned(ctx, q, cands, k, minScore)
 }
 
 // topKExhaustive scores every candidate, keeping the legacy fully-scored
 // path bit-for-bit (it is the equivalence oracle for the pruned path).
-func (e *Engine) topKExhaustive(ctx context.Context, query model.Trajectory, cands []candidate, k int, minScore float64) ([]Match, error) {
+func (e *Engine) topKExhaustive(ctx context.Context, q *topKQuery, cands []candidate, k int, minScore float64) ([]Match, error) {
 	scores := make([]float64, len(cands))
 	var scoreOne func(i int) error
 	if e.profOpts != nil {
-		fq, err := e.profiled(query)
+		fq, err := q.profiled()
 		if err != nil {
 			return nil, err
 		}
 		scoreOne = func(i int) error {
-			fc, err := e.profiledRef(cands[i].ref)
+			fc, _, err := e.profiledRef(cands[i].ref)
 			if err != nil {
 				return err
 			}
@@ -149,7 +195,7 @@ func (e *Engine) topKExhaustive(ctx context.Context, query model.Trajectory, can
 			return nil
 		}
 	} else if e.measure != nil {
-		pq, err := e.prepared(query)
+		pq, err := q.prepared()
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +217,7 @@ func (e *Engine) topKExhaustive(ctx context.Context, query model.Trajectory, can
 			if err != nil {
 				return fmt.Errorf("engine: %w", err)
 			}
-			v, err := e.scorer.Score(query, tr)
+			v, err := e.scorer.Score(q.tr, tr)
 			if err != nil {
 				return err
 			}
@@ -219,29 +265,37 @@ const (
 // remaining tail. Wave thresholds are frozen before the wave runs, so
 // results are independent of scheduling (workers only change how much
 // pruning is achieved, never the answer).
-func (e *Engine) topKPruned(ctx context.Context, query model.Trajectory, cands []candidate, k int, minScore float64) ([]Match, error) {
+func (e *Engine) topKPruned(ctx context.Context, q *topKQuery, cands []candidate, k int, minScore float64) ([]Match, error) {
 	profiled := e.profOpts != nil
-	fq, err := e.profiled(query)
+	fq, err := q.profiled()
 	if err != nil {
 		return nil, err
 	}
 	var pq *core.Prepared
 	if !profiled {
 		// Already prepared as a side effect of profiling; cache hit.
-		if pq, err = e.prepared(query); err != nil {
+		if pq, err = q.prepared(); err != nil {
 			return nil, err
 		}
 	}
 
-	// Phase 1: admissible upper bounds for every candidate.
+	// Phase 1: admissible upper bounds for every candidate. Phase 2 reads
+	// a candidate's profile only to refine it, with the prepared state its
+	// profile build made when the profile missed the cache (a small
+	// prepared cache may have evicted it by then). A zero bound is
+	// certified without refining, so a zero-bound candidate keeps
+	// neither, rather than holding both alive until the query ends.
 	ubs := make([]float64, len(cands))
 	profs := make([]*core.Profile, len(cands))
+	var preps []*core.Prepared
+	if !profiled {
+		preps = make([]*core.Prepared, len(cands))
+	}
 	if err := ForEach(ctx, len(cands), e.workers, func(i int) error {
-		fc, err := e.profiledRef(cands[i].ref)
+		fc, built, err := e.profiledRef(cands[i].ref)
 		if err != nil {
 			return err
 		}
-		profs[i] = fc
 		var ub float64
 		if profiled {
 			ub, err = core.UpperBoundProfiled(fq, fc)
@@ -252,6 +306,12 @@ func (e *Engine) topKPruned(ctx context.Context, query model.Trajectory, cands [
 			return err
 		}
 		ubs[i] = ub
+		if ub != 0 {
+			profs[i] = fc
+			if preps != nil {
+				preps[i] = built
+			}
+		}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -313,9 +373,11 @@ func (e *Engine) topKPruned(ctx context.Context, query model.Trajectory, cands [
 				if profiled {
 					v, ok, err = core.SimilarityProfiledThreshold(fq, profs[ci], theta)
 				} else {
-					pc, perr := e.preparedRef(cands[ci].ref)
-					if perr != nil {
-						return perr
+					pc := preps[ci]
+					if pc == nil {
+						if pc, err = e.preparedRef(cands[ci].ref); err != nil {
+							return err
+						}
 					}
 					v, ok, err = e.measure.RefineThreshold(pq, pc, fq, profs[ci], theta)
 				}

@@ -331,7 +331,8 @@ func TestWarmRestart(t *testing.T) {
 // retired float32 storage layout, which DecodeProfile refuses. A profiled
 // engine must not install an exact engine's bound-only profiles, which lack
 // the entries it scores with; an exact engine installs a profiled engine's
-// full ones. Either way the answers equal a cold engine's.
+// full ones as their bound state alone, the profiles it would build
+// itself. Either way the answers equal a cold engine's.
 func TestWarmRestartConfigGate(t *testing.T) {
 	query := walk("q", 120, 100, 4, 10, 8)
 	reopen := func(t *testing.T, dir string, opts engine.Options) *engine.Engine {
@@ -389,6 +390,15 @@ func TestWarmRestartConfigGate(t *testing.T) {
 					}
 					if e.WarmLoaded() != want {
 						t.Fatalf("sidecar disabled %v: WarmLoaded=%d, want %d", disable, e.WarmLoaded(), want)
+					}
+					// An engine keeps the profiles it would build itself:
+					// an exact one the bound state alone.
+					if exact := !e.Profiled(); !disable {
+						for _, p := range e.CachedProfiles() {
+							if p.BoundsOnly() != exact {
+								t.Fatalf("warm-loaded %q with bound-only %v into an engine with exact=%v", p.ID, p.BoundsOnly(), exact)
+							}
+						}
 					}
 					if tops[i], err = e.TopK(context.Background(), query, 6); err != nil {
 						t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrNoSamples is returned when a density is requested from an estimator
@@ -111,11 +112,13 @@ type Estimator struct {
 
 	// Tabulated mass values for MassFast: table[i] = Mass(tabMin + i·tabStep).
 	// The first MassFast call builds them under tableOnce; the fields are
-	// written only inside it and read only after it.
+	// written only inside it and read only after it. tableBytes publishes
+	// the table's size once it exists, for MemoryBytes.
 	tableOnce       sync.Once
 	table           []float64
 	tabMin, tabStep float64
 	tabMax          float64
+	tableBytes      atomic.Int64
 }
 
 // New builds an estimator over samples with Silverman's bandwidth. It
@@ -227,6 +230,14 @@ func (e *Estimator) buildTable() {
 	for i := range e.table {
 		e.table[i] *= scale
 	}
+	e.tableBytes.Store(int64(len(e.table)) * 8)
+}
+
+// MemoryBytes estimates the estimator's resident heap footprint: its
+// sorted samples and, once the first MassFast call has built it, the mass
+// table. It is safe to call concurrently with MassFast.
+func (e *Estimator) MemoryBytes() int {
+	return len(e.samples)*8 + int(e.tableBytes.Load())
 }
 
 // scatterGaussian adds exp(−(u+i·c)²/2) to t[i] for i in [0, len(t)).

@@ -154,6 +154,9 @@ type Stats struct {
 	// CoordStep is the quantization step applied to new records (0 =
 	// lossless).
 	CoordStep float64
+	// DecodeCache is the capacity of the decoded-trajectory LRU behind Get
+	// (0 when caching is disabled).
+	DecodeCache int
 	// Persistent reports whether the store was opened on a data directory.
 	Persistent bool
 	// WALBytes is the current WAL segment's size; WALSeq its sequence
@@ -652,6 +655,9 @@ func (s *Store) Stats() Stats {
 		LiveBytes:  s.liveBytes.Load(),
 		ArenaBytes: s.arenaBytes.Load(),
 		CoordStep:  s.CoordStep(),
+	}
+	if s.dcache != nil {
+		st.DecodeCache = s.dcache.cap
 	}
 	if s.pers != nil {
 		st.Persistent = true

@@ -28,6 +28,12 @@ type TransitionSpec struct {
 	Radial RadialTransition
 	// MaxSpeed bounds the object's plausible speed in m/s (0 = unknown).
 	MaxSpeed float64
+	// MemoryBytes, when non-nil, reports the resident bytes of the state
+	// the model holds for this one trajectory: a personalized speed
+	// model's sorted speeds and, once its first interpolation has built
+	// it, its mass table. Models shared across trajectories leave it nil.
+	// It must be safe to call concurrently with the model's use.
+	MemoryBytes func() int
 }
 
 // memoLimit caps the size of the dense offset-memo tables (entries). With

@@ -4,8 +4,9 @@
 # sink, replay the stream, and require (a) the server's streaming alerts to
 # exactly equal an independent offline re-evaluation at the same theta,
 # (b) every alert to reach the webhook sink, (c) the streaming metrics
-# families to be live, and (d) the watchlist and the appended corpus to
-# survive kill -9 + restart.
+# families to be live, (d) the derived-state caches to hold at most one
+# entry per corpus record, and (e) the watchlist and the appended corpus
+# to survive kill -9 + restart.
 #
 #   N=20 ./scripts/stream_smoke.sh            # stream trajectories (default 20)
 #   THETA=0.2 ...                             # standing-query threshold
@@ -55,6 +56,21 @@ grep -q '^sts_alerts_total{watch="smoke"} [1-9]' "$WORK/metrics.txt"
 grep -q '^sts_alert_delivered_total [1-9]' "$WORK/metrics.txt"
 grep -q '^sts_standing_eval_seconds_count [1-9]' "$WORK/metrics.txt"
 grep -q '^sts_watches 1$' "$WORK/metrics.txt"
+
+# One cached copy per record: appends forget the grown record's previous
+# generation, and by-ID requests resolve the record's own entries, so
+# neither cache may outgrow the corpus.
+stats="$(curl -fsS "http://$ADDR/v1/stats")"
+first_int() { printf '%s' "$stats" | grep -o "$1" | head -1 | grep -o '[0-9]*$'; }
+corpus="$(first_int '"corpus_size":[0-9]*')"
+prepared="$(first_int '"prepared_cache":{[^}]*"size":[0-9]*')"
+profiles="$(first_int '"profile_cache":{[^}]*"size":[0-9]*')"
+echo "stream_smoke: $prepared prepared and $profiles profile cache entries for $corpus records"
+if [ -z "$corpus" ] || [ -z "$prepared" ] || [ -z "$profiles" ] ||
+  [ "$prepared" -gt "$corpus" ] || [ "$profiles" -gt "$corpus" ]; then
+  echo "stream_smoke: derived-state caches exceed one entry per record" >&2
+  exit 1
+fi
 
 # A grown trajectory must be resident in full (put batch + every append).
 curl -fsS "http://$ADDR/v1/watch" >"$WORK/watch_pre.json"
