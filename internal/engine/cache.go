@@ -2,7 +2,9 @@ package engine
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/stslib/sts/internal/model"
 	"github.com/stslib/sts/internal/store"
@@ -14,9 +16,10 @@ import (
 // zero, so replacements can never collide with their predecessors. Every
 // record has that one identity, whichever way its samples reach the
 // engine: a top-k candidate scan decodes it from its Ref, while a by-ID
-// request hands back the array that Engine.Get or Subset returned, which
-// the engine recognizes (see Engine.keyFor) and keys under the same
-// refKey. A mutation therefore forgets the record's only copy.
+// request hands back the array that Engine.Get or Subset returned from
+// the engine's record cache, which recognizes it (see Engine.keyFor)
+// under the refKey of the generation it was decoded from. A mutation
+// therefore forgets the record's only copy.
 //
 // Any other trajectory (a query or batch dataset built by the caller)
 // carries gen 0 and pins the identity of its backing sample array instead
@@ -42,6 +45,114 @@ func keyOf(tr model.Trajectory) prepKey {
 
 func refKey(ref store.Ref) prepKey {
 	return prepKey{id: ref.ID, n: ref.N, gen: ref.Gen}
+}
+
+// recordCap bounds an engine's record cache: at most this many decoded
+// record arrays stay alive between by-ID requests.
+const recordCap = 1024
+
+// record is one decoded record array as Get or Subset handed it out: key
+// is the refKey of the generation it was decoded from, tick the cache's
+// clock at its last handout.
+type record struct {
+	key  prepKey
+	tr   model.Trajectory
+	tick atomic.Uint64
+}
+
+// recordCache is an engine's by-ID decode and its identity test in one:
+// it maps a record ID to the array decoded for one of the record's
+// generations, so repeated lookups of an unchanged record hand out the
+// same array, and that array, recognized by its first sample's address,
+// resolves under its generation's refKey (Engine.keyFor). Each entry holds
+// its array alive, so no other trajectory can reuse that address while
+// the entry exists. Reads take no lock; mu serializes inserts, deletes and
+// eviction, which drops the record least recently handed out once more
+// than recordCap are held. The zero value is an empty cache.
+type recordCache struct {
+	m     sync.Map // record ID → *record
+	mu    sync.Mutex
+	n     int // entries in m; guarded by mu
+	clock atomic.Uint64
+}
+
+// get returns the array of ref's generation, decoding ref on a miss. The
+// array is cached under refKey(ref), the generation it was decoded from,
+// unless the cache already holds a later generation of the record.
+func (c *recordCache) get(ref store.Ref) (model.Trajectory, error) {
+	if v, ok := c.m.Load(ref.ID); ok {
+		if r := v.(*record); r.key.gen == ref.Gen {
+			r.tick.Store(c.clock.Add(1))
+			return r.tr, nil
+		}
+	}
+	tr, err := ref.Decode()
+	if err != nil {
+		return model.Trajectory{}, fmt.Errorf("engine: %w", err)
+	}
+	r := &record{key: refKey(ref), tr: tr}
+	r.tick.Store(c.clock.Add(1))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m.Load(ref.ID); ok {
+		old := v.(*record)
+		if old.key.gen == ref.Gen {
+			return old.tr, nil // a concurrent miss cached it first
+		}
+		// A later generation stays cached: this decode raced a mutation.
+		if old.key.gen < ref.Gen {
+			c.m.Store(ref.ID, r)
+		}
+		return tr, nil
+	}
+	c.m.Store(ref.ID, r)
+	if c.n++; c.n > recordCap {
+		c.evictLocked()
+	}
+	return tr, nil
+}
+
+// evictLocked drops the record least recently handed out. Caller holds
+// c.mu.
+func (c *recordCache) evictLocked() {
+	var (
+		victim any
+		oldest = ^uint64(0)
+	)
+	c.m.Range(func(id, v any) bool {
+		if t := v.(*record).tick.Load(); t < oldest {
+			victim, oldest = id, t
+		}
+		return true
+	})
+	c.m.Delete(victim)
+	c.n--
+}
+
+// key returns the refKey tr was cached under, ok=false when tr is not
+// the array the cache holds for its ID. One map load and two compares.
+func (c *recordCache) key(tr model.Trajectory) (prepKey, bool) {
+	if len(tr.Samples) == 0 {
+		return prepKey{}, false
+	}
+	v, ok := c.m.Load(tr.ID)
+	if !ok {
+		return prepKey{}, false
+	}
+	r := v.(*record)
+	if &r.tr.Samples[0] != &tr.Samples[0] || len(r.tr.Samples) != len(tr.Samples) {
+		return prepKey{}, false
+	}
+	return r.key, true
+}
+
+// forget drops id's entry.
+func (c *recordCache) forget(id string) {
+	c.mu.Lock()
+	if _, ok := c.m.LoadAndDelete(id); ok {
+		c.n--
+	}
+	c.mu.Unlock()
 }
 
 // hashKey is FNV-1a over the key's ID mixed with its sample count and

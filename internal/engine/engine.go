@@ -26,7 +26,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/stslib/sts/internal/core"
 	"github.com/stslib/sts/internal/model"
@@ -133,37 +132,16 @@ type Engine struct {
 	byID   map[string]int
 	free   []int
 
-	// handed maps a record ID to the decoded array Get or Subset last
-	// handed out for it (*handout), so that array resolves under the
-	// record's refKey (keyFor). It is read without e.mu on every scored
-	// side; entries are written under e.mu (read-locked, with the record's
-	// generation checked) and deleted by the mutations that forget the
-	// record's derived state. It holds at most handCap entries, the
-	// capacity of the store's decode cache, and evicts in that cache's
-	// order (rememberLocked), so it keeps no more decoded arrays alive
-	// than the cache holds. handMu guards handLen and eviction; handTick
-	// orders handouts by their last Get or Subset.
-	handed   sync.Map
-	handMu   sync.Mutex
-	handLen  int
-	handCap  int
-	handTick atomic.Uint64
+	// records holds the arrays Get and Subset hand out, one per record,
+	// so repeated by-ID lookups share one decode and each handed-out
+	// array resolves under its record's refKey (keyFor). The mutations
+	// that forget a record's derived state drop its entry too.
+	records recordCache
 
 	// warmProfiles counts profiles installed from the store's derived-
 	// state sidecar at construction — the engine started scoring-warm,
 	// not just data-warm.
 	warmProfiles int
-}
-
-// handout is one decoded record array as Get or Subset handed it out:
-// first is its first sample, key the refKey of the record generation it
-// was decoded from, tick the engine's handout clock at its last Get or
-// Subset. Holding first keeps the array alive, so no other trajectory can
-// reuse its address while the entry exists.
-type handout struct {
-	key   prepKey
-	first *model.Sample
-	tick  atomic.Uint64
 }
 
 // corpusSlot holds one corpus entry's record handle; freed slots are
@@ -217,7 +195,6 @@ func New(scorer Scorer, opts Options) (*Engine, error) {
 		cache:   newLRUCache(capacity, (*core.Prepared).MemoryBytes),
 		corpus:  corpus,
 		byID:    make(map[string]int),
-		handCap: corpus.Stats().DecodeCache,
 	}
 	if ms, ok := scorer.(MeasureScorer); ok {
 		e.measure = ms.Measure()
@@ -393,121 +370,34 @@ func (e *Engine) Len() int {
 	return e.corpus.Len()
 }
 
-// Get decodes the corpus trajectory with the given ID from the backing
-// store. Repeated lookups of the same record are served from the store's
-// decode cache (same backing array); callers must not mutate the result.
-// The engine remembers the array it handed out, so scoring the result
-// resolves the record's own cached derived state (keyFor).
-//
-// An array already remembered returns at once. Otherwise Get looks the
-// record up again between two reads of its generation and remembers the
-// array only when both read the same: every mutation holds e.mu from its
-// store write to its slot update, so the array was then decoded from that
-// generation. The lookups run without e.mu, since a decode cache miss
-// decodes the whole record.
+// Get returns the corpus trajectory with the given ID. It reads the
+// record's Ref under e.mu and, when the engine's record cache does not
+// hold that generation, decodes the Ref after releasing the lock, so the
+// array is cached only under the generation it was decoded from. Repeated
+// lookups of an unchanged record return the same backing array; callers
+// must not mutate it. Scoring the result resolves the record's own cached
+// derived state (keyFor).
 func (e *Engine) Get(id string) (model.Trajectory, bool) {
-	tr, ok := e.corpus.Get(id)
-	if !ok {
-		return tr, false
-	}
-	if e.touch(tr) {
-		return tr, true
-	}
 	e.mu.RLock()
-	ref := e.refLocked(id)
+	slot, ok := e.byID[id]
+	var ref store.Ref
+	if ok {
+		ref = e.slots[slot].ref
+	}
 	e.mu.RUnlock()
-	if tr, ok = e.corpus.Get(id); ok && ref.Gen != 0 {
-		e.mu.RLock()
-		if e.refLocked(id).Gen == ref.Gen {
-			e.rememberLocked(ref, tr)
-		}
-		e.mu.RUnlock()
-	}
-	return tr, ok
-}
-
-// refLocked returns id's current record (the zero Ref when absent).
-// Caller holds e.mu.
-func (e *Engine) refLocked(id string) store.Ref {
-	if slot, ok := e.byID[id]; ok {
-		return e.slots[slot].ref
-	}
-	return store.Ref{}
-}
-
-// rememberLocked records tr as the array handed out for ref's generation.
-// Caller holds e.mu and has checked that ref is the current record of its
-// ID and that tr was decoded from it.
-//
-// A record it adds past handCap drops the least recently handed-out one.
-// That is the decode cache's own victim: Get and Subset are the cache's
-// only readers and touch both in the same order, so both keep the same
-// records. A dropped record's arrays resolve through keyOf until its next
-// Get or Subset remembers one again. A store without a decode cache hands
-// out a fresh array per lookup, so nothing is remembered.
-func (e *Engine) rememberLocked(ref store.Ref, tr model.Trajectory) {
-	if e.handCap == 0 || ref.N == 0 || len(tr.Samples) != ref.N {
-		return
-	}
-	h := &handout{key: refKey(ref), first: &tr.Samples[0]}
-	h.tick.Store(e.handTick.Add(1))
-	e.handMu.Lock()
-	defer e.handMu.Unlock()
-	if _, replaced := e.handed.Swap(ref.ID, h); replaced {
-		return
-	}
-	if e.handLen++; e.handLen <= e.handCap {
-		return
-	}
-	var (
-		victim any
-		oldest = uint64(math.MaxUint64)
-	)
-	e.handed.Range(func(id, v any) bool {
-		if t := v.(*handout).tick.Load(); t < oldest {
-			victim, oldest = id, t
-		}
-		return true
-	})
-	e.handed.Delete(victim)
-	e.handLen--
-}
-
-// handoutOf returns the handout tr is, nil when tr is not an array Get or
-// Subset handed out. It takes no lock: one map load and two compares on
-// every scored side.
-func (e *Engine) handoutOf(tr model.Trajectory) *handout {
-	if len(tr.Samples) == 0 {
-		return nil
-	}
-	v, ok := e.handed.Load(tr.ID)
 	if !ok {
-		return nil
+		return model.Trajectory{}, false
 	}
-	h := v.(*handout)
-	if h.first != &tr.Samples[0] || h.key.n != len(tr.Samples) {
-		return nil
-	}
-	return h
-}
-
-// touch reports whether tr is a remembered array and, if so, marks it
-// handed out now, as the store's Get just marked it in the decode cache.
-func (e *Engine) touch(tr model.Trajectory) bool {
-	h := e.handoutOf(tr)
-	if h == nil {
-		return false
-	}
-	h.tick.Store(e.handTick.Add(1))
-	return true
+	tr, err := e.records.get(ref)
+	return tr, err == nil
 }
 
 // keyFor is the cache key of tr's derived state: its record's refKey when
-// tr is a resident record's array as Get or Subset handed it out, keyOf
-// for any other trajectory.
+// tr is the array the record cache holds for its ID, keyOf for any other
+// trajectory. It takes no lock.
 func (e *Engine) keyFor(tr model.Trajectory) prepKey {
-	if h := e.handoutOf(tr); h != nil {
-		return h.key
+	if k, ok := e.records.key(tr); ok {
+		return k
 	}
 	return keyOf(tr)
 }
@@ -517,28 +407,34 @@ func (e *Engine) IDs() []string {
 	return e.corpus.IDs()
 }
 
-// Subset resolves corpus trajectories by ID under one consistent snapshot
-// (engine mutations are excluded for the duration), preserving the request
-// order; an empty ids selects the whole corpus in sorted-ID order. Unknown
-// IDs fail the whole call so partial datasets never reach a linking or
-// batch-scoring run silently. Like Get, it remembers the arrays it hands
-// out; the read lock it holds pins every record's generation.
+// Subset resolves corpus trajectories by ID under one consistent snapshot,
+// preserving the request order; an empty ids selects the whole corpus in
+// sorted-ID order. Unknown IDs fail the whole call so partial datasets
+// never reach a linking or batch-scoring run silently. It reads every
+// record's Ref under one read lock, then decodes them through the record
+// cache after releasing it, as Get does.
 func (e *Engine) Subset(ids []string) (model.Dataset, error) {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
 	if len(ids) == 0 {
 		ids = e.corpus.IDs()
 	}
-	out := make(model.Dataset, 0, len(ids))
-	for _, id := range ids {
-		tr, ok := e.corpus.Get(id)
+	refs := make([]store.Ref, len(ids))
+	for i, id := range ids {
+		slot, ok := e.byID[id]
 		if !ok {
+			e.mu.RUnlock()
 			return nil, fmt.Errorf("engine: trajectory %q %w", id, ErrNotFound)
 		}
-		if !e.touch(tr) {
-			e.rememberLocked(e.refLocked(id), tr)
+		refs[i] = e.slots[slot].ref
+	}
+	e.mu.RUnlock()
+	out := make(model.Dataset, len(refs))
+	for i, ref := range refs {
+		tr, err := e.records.get(ref)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, tr)
+		out[i] = tr
 	}
 	return out, nil
 }
@@ -674,47 +570,16 @@ func (e *Engine) canPrune() bool {
 	return !e.noPrune && e.measure != nil && e.profiles != nil
 }
 
-// prepared returns the cached prepared state for tr, whose cache key is
-// key (keyFor(tr), resolved once by the caller), preparing at most once
-// concurrently per trajectory. A resident record's array from Get or
-// Subset thus resolves under its refKey and is prepared from the samples
-// in hand.
-func (e *Engine) prepared(key prepKey, tr model.Trajectory) (*core.Prepared, error) {
+// prepared returns the cached prepared state under key, preparing it at
+// most once concurrently from the samples load returns. A resident record
+// passes refKey(ref) and ref.Decode, so a miss decodes the record just
+// before preparation and cached entries never hold boxed samples; a
+// trajectory in hand passes keyFor(tr) and inHand(tr), so an array Get or
+// Subset handed out resolves under its record's refKey and is prepared
+// from the samples in hand.
+func (e *Engine) prepared(key prepKey, load func() (model.Trajectory, error)) (*core.Prepared, error) {
 	return e.cache.get(key, func() (*core.Prepared, error) {
-		p, err := e.measure.Prepare(tr)
-		if err != nil {
-			return nil, fmt.Errorf("engine: prepare %q: %w", tr.ID, err)
-		}
-		return p, nil
-	})
-}
-
-// profiled returns the cached bucketed profile for tr under key (see
-// prepared), building at most once concurrently per trajectory. The build
-// routes through the prepared cache, so a trajectory's estimator state is
-// shared between the exact and profiled paths. Profiled engines score
-// with these profiles; exact ones use them only for the filter phase's
-// upper bounds, so theirs are bound-only.
-func (e *Engine) profiled(key prepKey, tr model.Trajectory) (*core.Profile, error) {
-	return e.profiles.get(key, func() (*core.Profile, error) {
-		p, err := e.prepared(key, tr)
-		if err != nil {
-			return nil, err
-		}
-		prof, err := e.measure.Profile(p, e.boundOpts)
-		if err != nil {
-			return nil, fmt.Errorf("engine: profile %q: %w", tr.ID, err)
-		}
-		return prof, nil
-	})
-}
-
-// preparedRef is prepared for a corpus record: the columnar record is
-// decoded only on a cache miss, immediately before preparation, so cached
-// corpus entries never hold boxed samples.
-func (e *Engine) preparedRef(ref store.Ref) (*core.Prepared, error) {
-	return e.cache.get(refKey(ref), func() (*core.Prepared, error) {
-		tr, err := ref.Decode()
+		tr, err := load()
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
@@ -726,20 +591,24 @@ func (e *Engine) preparedRef(ref store.Ref) (*core.Prepared, error) {
 	})
 }
 
-// profiledRef is profiled for a corpus record (decode-on-miss, see
-// preparedRef). built is the prepared state this call built the profile
-// from, nil when the profile was cached: a caller that refines the record
-// next keeps it, since a small prepared cache may have evicted it by then.
-func (e *Engine) profiledRef(ref store.Ref) (*core.Profile, *core.Prepared, error) {
-	var built *core.Prepared
-	prof, err := e.profiles.get(refKey(ref), func() (*core.Profile, error) {
-		p, err := e.preparedRef(ref)
+// profiled returns the cached bucketed profile under key (see prepared),
+// building it at most once concurrently. The build routes through the
+// prepared cache, so a trajectory's estimator state is shared between the
+// exact and profiled paths. Profiled engines score with these profiles;
+// exact ones use them only for the filter phase's upper bounds, so theirs
+// are bound-only. built is the prepared state this call built the profile
+// from, nil when the profile was cached: a caller that refines the
+// trajectory next keeps it, since a small prepared cache may have evicted
+// it by then.
+func (e *Engine) profiled(key prepKey, load func() (model.Trajectory, error)) (prof *core.Profile, built *core.Prepared, err error) {
+	prof, err = e.profiles.get(key, func() (*core.Profile, error) {
+		p, err := e.prepared(key, load)
 		if err != nil {
 			return nil, err
 		}
 		prof, err := e.measure.Profile(p, e.boundOpts)
 		if err != nil {
-			return nil, fmt.Errorf("engine: profile %q: %w", ref.ID, err)
+			return nil, fmt.Errorf("engine: profile %q: %w", key.id, err)
 		}
 		built = p
 		return prof, nil
@@ -747,15 +616,16 @@ func (e *Engine) profiledRef(ref store.Ref) (*core.Profile, *core.Prepared, erro
 	return prof, built, err
 }
 
+// inHand is the load function of a trajectory the caller already holds.
+func inHand(tr model.Trajectory) func() (model.Trajectory, error) {
+	return func() (model.Trajectory, error) { return tr, nil }
+}
+
 // forgetDerived drops every cached derived state of one record generation
-// and the array Get handed out for it. Caller holds e.mu, so no Get or
-// Subset can record that generation's array again.
+// and the record's array in the record cache. Caller holds e.mu, so no Get
+// or Subset reads that generation's Ref again.
 func (e *Engine) forgetDerived(key prepKey) {
-	e.handMu.Lock()
-	if _, ok := e.handed.LoadAndDelete(key.id); ok {
-		e.handLen--
-	}
-	e.handMu.Unlock()
+	e.records.forget(key.id)
 	e.cache.forget(key)
 	if e.profiles != nil {
 		e.profiles.forget(key)

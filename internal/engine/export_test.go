@@ -2,6 +2,9 @@ package engine
 
 import "github.com/stslib/sts/internal/core"
 
+// RecordCap is the record cache's fixed capacity, per engine.
+const RecordCap = recordCap
+
 // CachedProfiles returns the completed entries of e's profile cache, so
 // the external tests can inspect what an engine keeps.
 func (e *Engine) CachedProfiles() []*core.Profile {
@@ -10,22 +13,23 @@ func (e *Engine) CachedProfiles() []*core.Profile {
 	return out
 }
 
-// HandedOut returns how many records' decoded arrays e remembers from Get
-// and Subset; each entry keeps one array alive.
-func (e *Engine) HandedOut() int {
+// CachedRecords returns how many decoded record arrays each engine's
+// record cache holds: one count for an Engine, one per shard for a
+// Sharded. Each entry keeps one array alive.
+func (e *Engine) CachedRecords() []int {
 	n := 0
-	e.handed.Range(func(_, _ any) bool {
+	e.records.m.Range(func(_, _ any) bool {
 		n++
 		return true
 	})
-	return n
+	return []int{n}
 }
 
-// HandedOut sums the shards' HandedOut.
-func (s *Sharded) HandedOut() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.HandedOut()
+// CachedRecords returns each shard's count (see Engine.CachedRecords).
+func (s *Sharded) CachedRecords() []int {
+	out := make([]int, len(s.shards))
+	for i, sh := range s.shards {
+		out[i] = sh.CachedRecords()[0]
 	}
-	return n
+	return out
 }

@@ -161,43 +161,77 @@ func TestAppendKeepsOneEntryPerRecord(t *testing.T) {
 	}
 }
 
-// TestHandoutsStayWithinDecodeCache bounds what the identity map keeps
-// alive. On stores whose decode cache holds 4 records, a whole-corpus
-// Subset and a Get of each of 12 records leave at most 4 remembered arrays
-// per store, and the most recent handouts still resolve their records'
-// shared state. A store without a decode cache remembers none.
-func TestHandoutsStayWithinDecodeCache(t *testing.T) {
-	const capacity = 4
-	ctx := context.Background()
-	type handing interface {
-		engine.Service
-		HandedOut() int
-	}
-	build := func(decodeCache int) map[string]handing {
-		opts := func(int) (engine.Options, error) {
-			return engine.Options{Corpus: store.New(store.Options{DecodeCache: decodeCache})}, nil
-		}
-		single, err := engine.New(testScorer(t), engine.Options{Corpus: store.New(store.Options{DecodeCache: decodeCache})})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, err := engine.NewSharded(testScorer(t), engine.ShardedOptions{Shards: 2, ShardOptions: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			_ = single.Close()
-			_ = sharded.Close()
-		})
-		return map[string]handing{"single": single, "sharded": sharded}
-	}
-	corpus := identityCorpus()
-	outside := walk("outside", 130, 100, 4, 10, 10)
-	for name, svc := range build(capacity) {
+// TestGetReturnsOneArrayPerGeneration pins the record cache's by-ID
+// decode: repeated lookups of an unchanged record, by Get or Subset,
+// return the same backing array, and after an Append or a Replace the
+// record's next lookup returns a new one holding the new generation.
+func TestGetReturnsOneArrayPerGeneration(t *testing.T) {
+	for name, svc := range identityEngines(t) {
 		t.Run(name, func(t *testing.T) {
-			limit := capacity
-			if name == "sharded" {
-				limit *= 2
+			if _, err := svc.Add(walk("a", 100, 100, 4, 10, 6)); err != nil {
+				t.Fatal(err)
+			}
+			get := func(n int) *model.Sample {
+				t.Helper()
+				tr, ok := svc.Get("a")
+				if !ok || len(tr.Samples) != n {
+					t.Fatalf("Get(a) = %d samples, %v; want %d", len(tr.Samples), ok, n)
+				}
+				return &tr.Samples[0]
+			}
+			first := get(6)
+			if again := get(6); again != first {
+				t.Fatal("a repeated Get of an unchanged record returned a new array")
+			}
+			if sub, err := svc.Subset([]string{"a"}); err != nil || &sub[0].Samples[0] != first {
+				t.Fatalf("Subset of an unchanged record: %v; want Get's array", err)
+			}
+			cur, _ := svc.Get("a")
+			if _, err := svc.Append("a", tailOf(cur, 1)); err != nil {
+				t.Fatal(err)
+			}
+			grown := get(7)
+			if grown == first {
+				t.Fatal("Get after an Append returned the superseded array")
+			}
+			if again := get(7); again != grown {
+				t.Fatal("a repeated Get after an Append returned a new array")
+			}
+			if _, err := svc.Replace(walk("a", 112, 100, 4, 10, 7)); err != nil {
+				t.Fatal(err)
+			}
+			if replaced := get(7); replaced == grown || *replaced == *grown {
+				t.Fatal("Get after a Replace returned the superseded array")
+			}
+		})
+	}
+}
+
+// TestHandoutsStayWithinDecodeCache bounds what the record cache keeps
+// alive. Over 2×RecordCap+12 records, a whole-corpus Subset and a Get of
+// each record leave at most RecordCap decoded arrays in every engine, and
+// the most recent handouts still resolve their records' shared state.
+func TestHandoutsStayWithinDecodeCache(t *testing.T) {
+	ctx := context.Background()
+	type caching interface {
+		engine.Service
+		CachedRecords() []int
+	}
+	corpus := make([]model.Trajectory, 2*engine.RecordCap+12)
+	for i := range corpus {
+		corpus[i] = walk(fmt.Sprintf("w%04d", i), 100+float64(i%40)*20, 100+float64(i/40)*15, 4, 10, 3)
+	}
+	outside := walk("outside", 130, 100, 4, 10, 10)
+	for name, svc := range identityEngines(t) {
+		svc := svc.(caching)
+		t.Run(name, func(t *testing.T) {
+			bounded := func(after string) {
+				t.Helper()
+				for i, n := range svc.CachedRecords() {
+					if n > engine.RecordCap {
+						t.Fatalf("after %s: engine %d holds %d record arrays, the cap is %d", after, i, n, engine.RecordCap)
+					}
+				}
 			}
 			for _, tr := range corpus {
 				if _, err := svc.Add(tr); err != nil {
@@ -207,16 +241,17 @@ func TestHandoutsStayWithinDecodeCache(t *testing.T) {
 			if _, err := svc.Subset(nil); err != nil {
 				t.Fatal(err)
 			}
-			if n := svc.HandedOut(); n > limit {
-				t.Fatalf("a whole-corpus Subset left %d remembered arrays, the decode caches hold %d", n, limit)
+			bounded("a whole-corpus Subset")
+			if name == "single" {
+				if n := svc.CachedRecords()[0]; n != engine.RecordCap {
+					t.Fatalf("a whole-corpus Subset of %d records left %d arrays, want the cache full at %d", len(corpus), n, engine.RecordCap)
+				}
 			}
 			for _, tr := range corpus {
 				if _, ok := svc.Get(tr.ID); !ok {
 					t.Fatalf("Get(%q) missed", tr.ID)
 				}
-				if n := svc.HandedOut(); n > limit {
-					t.Fatalf("after Get(%q): %d remembered arrays, the decode caches hold %d", tr.ID, n, limit)
-				}
+				bounded("Get(" + tr.ID + ")")
 			}
 			for _, exhaustive := range []bool{true, false} {
 				if _, err := svc.TopKOpts(ctx, outside, engine.TopKOptions{K: 3, MinScore: math.Inf(-1), Exhaustive: exhaustive}); err != nil {
@@ -224,7 +259,8 @@ func TestHandoutsStayWithinDecodeCache(t *testing.T) {
 				}
 			}
 			warm := cacheStateOf(svc)
-			recent, err := svc.Subset([]string{corpus[8].ID, corpus[9].ID, corpus[10].ID, corpus[11].ID})
+			n := len(corpus)
+			recent, err := svc.Subset([]string{corpus[n-4].ID, corpus[n-3].ID, corpus[n-2].ID, corpus[n-1].ID})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,22 +272,6 @@ func TestHandoutsStayWithinDecodeCache(t *testing.T) {
 			}
 			if got := cacheStateOf(svc); got != warm {
 				t.Fatalf("the most recent handouts missed their records' state: %+v after warm-up, %+v after", warm, got)
-			}
-		})
-	}
-	for name, svc := range build(-1) {
-		t.Run(name+"/no-decode-cache", func(t *testing.T) {
-			for _, tr := range corpus {
-				if _, err := svc.Add(tr); err != nil {
-					t.Fatal(err)
-				}
-				svc.Get(tr.ID)
-			}
-			if _, err := svc.Subset(nil); err != nil {
-				t.Fatal(err)
-			}
-			if n := svc.HandedOut(); n != 0 {
-				t.Fatalf("%d remembered arrays without a decode cache", n)
 			}
 		})
 	}

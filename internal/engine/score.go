@@ -100,15 +100,15 @@ func (b *batch) resolve(ctx context.Context, workers int, owner func(id string) 
 			tr = b.cols[k-n]
 		}
 		e := owner(tr.ID)
-		key := e.keyFor(tr)
+		key, load := e.keyFor(tr), inHand(tr)
 		var err error
 		if b.prof {
-			if b.profs[k], err = e.profiled(key, tr); err != nil {
+			if b.profs[k], _, err = e.profiled(key, load); err != nil {
 				return err
 			}
 		}
 		if b.prep {
-			b.preps[k], err = e.prepared(key, tr)
+			b.preps[k], err = e.prepared(key, load)
 		}
 		return err
 	})

@@ -493,7 +493,6 @@ func (s *Sharded) StoreStats() store.Stats {
 		out.Records += st.Records
 		out.LiveBytes += st.LiveBytes
 		out.ArenaBytes += st.ArenaBytes
-		out.DecodeCache += st.DecodeCache
 		out.WALBytes += st.WALBytes
 		out.Snapshots += st.Snapshots
 		out.SnapshotErrors += st.SnapshotErrors

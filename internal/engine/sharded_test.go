@@ -166,6 +166,37 @@ func TestShardedTopKEquivalence(t *testing.T) {
 	}
 }
 
+// TestTopKHugeKReturnsWholeCorpus pins that no top-k buffer is sized by
+// the caller's k: K = 1<<50 and K = math.MaxInt, floored and unfloored,
+// return exactly what K = len(corpus) returns, the whole ranked corpus,
+// on a single engine and on a 2-shard coordinator.
+func TestTopKHugeKReturnsWholeCorpus(t *testing.T) {
+	ctx := context.Background()
+	corpus := goldenCorpus()
+	single, sharded := newShardedPair(t, 2, func() engine.Options { return engine.Options{} })
+	fillPair(t, single, sharded, corpus)
+	for name, svc := range map[string]engine.Service{"single": single, "sharded": sharded} {
+		t.Run(name, func(t *testing.T) {
+			for _, floor := range []float64{math.Inf(-1), 0} {
+				want, err := svc.TopKOpts(ctx, goldenQuery(), engine.TopKOptions{K: len(corpus), MinScore: floor})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) != len(corpus) {
+					t.Fatalf("floor %v: K=len(corpus) returned %d of %d records", floor, len(want), len(corpus))
+				}
+				for _, k := range []int{1 << 50, math.MaxInt} {
+					got, err := svc.TopKOpts(ctx, goldenQuery(), engine.TopKOptions{K: k, MinScore: floor})
+					if err != nil {
+						t.Fatalf("floor %v, K=%d: %v", floor, k, err)
+					}
+					diffMatches(t, fmt.Sprintf("floor %v, K=%d", floor, k), got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestShardedScoreBatchEquivalence checks that fanned row blocks produce
 // bit-identical matrices, with and without a mask and a score floor.
 func TestShardedScoreBatchEquivalence(t *testing.T) {

@@ -20,7 +20,8 @@ import (
 
 // TopKOptions parameterizes Engine.TopKOpts.
 type TopKOptions struct {
-	// K is the number of matches to return; K <= 0 returns nil.
+	// K is the number of matches to return; K <= 0 returns nil, and a K
+	// at or above the corpus size returns the whole ranked corpus.
 	K int
 	// MinScore restricts the result to matches with Score >= MinScore: the
 	// result is the K best of the qualifying candidates. It is also the
@@ -137,7 +138,7 @@ func (q *topKQuery) prepared() (*core.Prepared, error) {
 	defer q.mu.Unlock()
 	var err error
 	if q.prep == nil {
-		q.prep, err = q.owner.prepared(q.key, q.tr)
+		q.prep, err = q.owner.prepared(q.key, inHand(q.tr))
 	}
 	return q.prep, err
 }
@@ -147,7 +148,7 @@ func (q *topKQuery) profiled() (*core.Profile, error) {
 	defer q.mu.Unlock()
 	var err error
 	if q.prof == nil {
-		q.prof, err = q.owner.profiled(q.key, q.tr)
+		q.prof, _, err = q.owner.profiled(q.key, inHand(q.tr))
 	}
 	return q.prof, err
 }
@@ -164,8 +165,11 @@ func (e *Engine) topK(ctx context.Context, q *topKQuery, opts TopKOptions) ([]Ma
 	if len(cands) == 0 {
 		return nil, nil
 	}
+	// A k past the corpus returns the whole ranked corpus; clamping it
+	// here sizes every buffer below by the corpus, not by the caller's k.
+	k = min(k, len(cands))
 	// With every candidate in the result anyway, bounds cannot save work.
-	trivial := len(cands) <= k && math.IsInf(minScore, -1)
+	trivial := k == len(cands) && math.IsInf(minScore, -1)
 	if opts.Exhaustive || trivial || !e.canPrune() {
 		return e.topKExhaustive(ctx, q, cands, k, minScore)
 	}
@@ -183,7 +187,8 @@ func (e *Engine) topKExhaustive(ctx context.Context, q *topKQuery, cands []candi
 			return nil, err
 		}
 		scoreOne = func(i int) error {
-			fc, _, err := e.profiledRef(cands[i].ref)
+			ref := cands[i].ref
+			fc, _, err := e.profiled(refKey(ref), ref.Decode)
 			if err != nil {
 				return err
 			}
@@ -200,7 +205,8 @@ func (e *Engine) topKExhaustive(ctx context.Context, q *topKQuery, cands []candi
 			return nil, err
 		}
 		scoreOne = func(i int) error {
-			pc, err := e.preparedRef(cands[i].ref)
+			ref := cands[i].ref
+			pc, err := e.prepared(refKey(ref), ref.Decode)
 			if err != nil {
 				return err
 			}
@@ -292,7 +298,8 @@ func (e *Engine) topKPruned(ctx context.Context, q *topKQuery, cands []candidate
 		preps = make([]*core.Prepared, len(cands))
 	}
 	if err := ForEach(ctx, len(cands), e.workers, func(i int) error {
-		fc, built, err := e.profiledRef(cands[i].ref)
+		ref := cands[i].ref
+		fc, built, err := e.profiled(refKey(ref), ref.Decode)
 		if err != nil {
 			return err
 		}
@@ -375,7 +382,8 @@ func (e *Engine) topKPruned(ctx context.Context, q *topKQuery, cands []candidate
 				} else {
 					pc := preps[ci]
 					if pc == nil {
-						if pc, err = e.preparedRef(cands[ci].ref); err != nil {
+						ref := cands[ci].ref
+						if pc, err = e.prepared(refKey(ref), ref.Decode); err != nil {
 							return err
 						}
 					}
@@ -434,9 +442,11 @@ func newTopKHeap(k int) *topKHeap {
 	return &topKHeap{k: k, worse: worseMatch, m: make([]Match, 0, k)}
 }
 
-// newMatchHeap is newTopKHeap with an explicit comparator.
+// newMatchHeap is newTopKHeap with an explicit comparator. It reserves
+// nothing up front: its k is the caller's, which may be far larger than
+// anything offered, so it grows with the matches offered.
 func newMatchHeap(k int, worse func(a, b Match) bool) *topKHeap {
-	return &topKHeap{k: k, worse: worse, m: make([]Match, 0, k)}
+	return &topKHeap{k: k, worse: worse}
 }
 
 func (h *topKHeap) full() bool { return len(h.m) == h.k }

@@ -30,10 +30,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 // handleSnapshot forces an immediate store snapshot — corpus plus the
 // derived-state sidecar — instead of waiting for the WAL-growth trigger;
 // the ops hook warm-restart drills use to persist cache warmth before a
-// crash. It answers with the post-snapshot store stats.
+// crash. It answers with the post-snapshot store stats. Only a corpus
+// that is not durable is the caller's conflict (409); a snapshot that
+// fails maps like any other write (mapEngineErr).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
+	if !s.eng.StoreStats().Persistent {
+		return httpErrorf(http.StatusConflict, "snapshot requires a durable corpus")
+	}
 	if err := s.eng.Snapshot(); err != nil {
-		return httpErrorf(http.StatusConflict, "%v", err)
+		return mapEngineErr(err)
 	}
 	return writeJSON(w, http.StatusOK, wireStoreStats(s.eng.StoreStats()))
 }
@@ -220,14 +225,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) error {
 		return httpErrorf(http.StatusNotFound, "trajectory %q not in corpus", id)
 	}
 	want := k
-	if !includeSelf {
+	if !includeSelf && k < math.MaxInt {
 		want = k + 1 // room to drop the query's own entry
 	}
 	matches, err := s.eng.TopKOpts(r.Context(), query, engine.TopKOptions{K: want, MinScore: minScore})
 	if err != nil {
 		return mapEngineErr(err)
 	}
-	resp := api.TopKResponse{Query: id, K: k, Matches: make([]api.Match, 0, k)}
+	resp := api.TopKResponse{Query: id, K: k, Matches: make([]api.Match, 0, min(k, len(matches)))}
 	for _, m := range matches {
 		if len(resp.Matches) == k {
 			break

@@ -195,6 +195,33 @@ func TestRoundTripMall(t *testing.T) {
 	}
 }
 
+// TestTopKHugeK pins that /v1/topk sizes nothing by the requested k: a k
+// far past the corpus, up to math.MaxInt, answers 200 with every other
+// record ranked.
+func TestTopKHugeK(t *testing.T) {
+	_, eng, ds := mallWorld(t, 8)
+	for _, tr := range ds {
+		if _, err := eng.Add(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := newTestServer(t, eng, server.Options{})
+	q := ds[0].ID
+	for _, k := range []string{"1125899906842624", "9223372036854775807"} {
+		var tr api.TopKResponse
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/topk?id="+q+"&k="+k, nil, &tr); code != http.StatusOK {
+			t.Fatalf("k=%s: code %d", k, code)
+		}
+		seen := map[string]bool{}
+		for _, m := range tr.Matches {
+			seen[m.ID] = true
+		}
+		if len(tr.Matches) != len(ds)-1 || len(seen) != len(ds)-1 || seen[q] {
+			t.Fatalf("k=%s: %d matches %v, want every record but the query once", k, len(tr.Matches), tr.Matches)
+		}
+	}
+}
+
 // TestServedProfiledEngine runs the round-trip against a profiled engine:
 // served scores must equal the profiled library scorer's scores exactly.
 func TestServedProfiledEngine(t *testing.T) {

@@ -73,8 +73,8 @@ func TestStatsCorpusSizeUnderConcurrentIngest(t *testing.T) {
 // TestClosedStoreAnswers503 pins the storage-failure mapping of the write
 // routes: once the durable store behind the engine is closed, every write
 // fails with store.ErrClosed, which is the server's fault, not the
-// client's. PUT, batch and append answer 503; a tail that fails validation
-// still answers 400.
+// client's. PUT, batch, append and snapshot answer 503; a tail that fails
+// validation still answers 400.
 func TestClosedStoreAnswers503(t *testing.T) {
 	m, _, ds := mallWorld(t, 4)
 	st, err := store.Open(t.TempDir(), store.Options{SnapshotEvery: -1})
@@ -107,9 +107,47 @@ func TestClosedStoreAnswers503(t *testing.T) {
 			api.AppendRequest{Samples: [][3]float64{{last.T + 5, last.Loc.X, last.Loc.Y}}}, http.StatusServiceUnavailable},
 		{"stale append", http.MethodPost, ts.URL + "/v1/trajectories/" + id + ":append",
 			api.AppendRequest{Samples: [][3]float64{{last.T, last.Loc.X, last.Loc.Y}}}, http.StatusBadRequest},
+		{"snapshot", http.MethodPost, ts.URL + "/v1/snapshot", nil, http.StatusServiceUnavailable},
 	} {
 		if code := doJSON(t, c.method, c.url, c.body, nil); code != c.want {
 			t.Errorf("%s on a closed store: code %d, want %d", c.name, code, c.want)
 		}
+	}
+}
+
+// TestSnapshotRoute pins POST /v1/snapshot's answers on a live store: 409
+// on an in-memory corpus, which has nothing durable to snapshot, and 200
+// with the post-snapshot store stats, sidecar write included, on a
+// durable one.
+func TestSnapshotRoute(t *testing.T) {
+	m, mem, ds := mallWorld(t, 4)
+	if code := doJSON(t, http.MethodPost, newTestServer(t, mem, server.Options{}).URL+"/v1/snapshot", nil, nil); code != http.StatusConflict {
+		t.Fatalf("snapshot of an in-memory corpus: code %d, want 409", code)
+	}
+	st, err := store.Open(t.TempDir(), store.Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(eval.NewSTSScorer("STS", m), engine.Options{Corpus: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eng.Close() })
+	for _, tr := range ds {
+		if _, err := eng.Add(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := newTestServer(t, eng, server.Options{})
+	// A floored top-k profiles the corpus, which gives the sidecar content.
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/topk?k=1&min_score=0&id="+ds[0].ID, nil, nil); code != http.StatusOK {
+		t.Fatalf("topk: code %d", code)
+	}
+	var got api.StoreStats
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/snapshot", nil, &got); code != http.StatusOK {
+		t.Fatalf("snapshot of a durable corpus: code %d, want 200", code)
+	}
+	if got.Snapshots < 1 || got.SidecarWrites < 1 {
+		t.Fatalf("snapshot answered %+v, want a snapshot and a sidecar write counted", got)
 	}
 }

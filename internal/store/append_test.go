@@ -65,7 +65,7 @@ func TestStoreAppend(t *testing.T) {
 	sameContent(t, s, map[string]model.Trajectory{"a": full})
 
 	// A stale ref keeps decoding its own generation's bytes.
-	old, err := s.Cached(r1)
+	old, err := r1.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}

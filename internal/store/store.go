@@ -24,9 +24,8 @@ import (
 
 // Defaults of Options fields left zero.
 const (
-	DefaultShards      = 16
-	DefaultBlockBytes  = 128 << 10
-	DefaultDecodeCache = 1024
+	DefaultShards     = 16
+	DefaultBlockBytes = 128 << 10
 	// DefaultSnapshotEvery is the WAL growth between automatic snapshots.
 	DefaultSnapshotEvery = 64 << 20
 	// DefaultFsyncInterval batches WAL fsyncs.
@@ -58,9 +57,6 @@ type Options struct {
 	Shards int
 	// BlockBytes is the arena block size (0 selects DefaultBlockBytes).
 	BlockBytes int
-	// DecodeCache bounds the decoded-trajectory LRU backing Get (0 selects
-	// DefaultDecodeCache, negative disables caching).
-	DecodeCache int
 	// FsyncInterval batches WAL fsyncs: positive syncs at most that often
 	// from a background loop, 0 selects DefaultFsyncInterval, and negative
 	// never syncs explicitly (the OS decides). Use ExactFsync for
@@ -123,14 +119,15 @@ func (r Ref) Decode() (model.Trajectory, error) {
 	return model.Trajectory{ID: r.ID, Samples: samples}, nil
 }
 
-// Corpus is the engine-facing contract of a Store: corpus mutation, record
-// resolution and decoding, and observability. *Store implements it.
+// Corpus is the engine-facing contract of a Store: corpus mutation, the
+// record handles (Refs) that mutations and ForEach return, and
+// observability. It has no by-ID decode: the engine decodes the Refs it
+// holds, through its own record cache. *Store implements it.
 type Corpus interface {
 	Add(tr model.Trajectory) (Ref, error)
 	Replace(tr model.Trajectory) (Ref, error)
 	Append(id string, tail []model.Sample) (Ref, error)
 	Remove(id string) error
-	Get(id string) (model.Trajectory, bool)
 	Len() int
 	IDs() []string
 	ForEach(fn func(Ref) error) error
@@ -154,9 +151,6 @@ type Stats struct {
 	// CoordStep is the quantization step applied to new records (0 =
 	// lossless).
 	CoordStep float64
-	// DecodeCache is the capacity of the decoded-trajectory LRU behind Get
-	// (0 when caching is disabled).
-	DecodeCache int
 	// Persistent reports whether the store was opened on a data directory.
 	Persistent bool
 	// WALBytes is the current WAL segment's size; WALSeq its sequence
@@ -213,7 +207,6 @@ type Store struct {
 	liveBytes  atomic.Int64
 	arenaBytes atomic.Int64
 	shards     []shard
-	dcache     *decodeCache
 	log        *slog.Logger
 
 	pers     *persistence // nil on in-memory stores
@@ -250,13 +243,6 @@ func New(opts Options) *Store {
 		s.shards[i].recs = make(map[string]*rec)
 	}
 	s.SetCoordStep(opts.CoordStep)
-	dcap := opts.DecodeCache
-	if dcap == 0 {
-		dcap = DefaultDecodeCache
-	}
-	if dcap > 0 {
-		s.dcache = newDecodeCache(dcap)
-	}
 	return s
 }
 
@@ -333,9 +319,6 @@ func (s *Store) put(tr model.Trajectory, op byte, allowExisting bool) (Ref, erro
 	}
 	sh.recs[tr.ID] = &rec{ref: ref, blk: sh.cur}
 	s.liveBytes.Add(int64(len(ref.blob)))
-	if s.dcache != nil {
-		s.dcache.forget(tr.ID)
-	}
 	return ref, nil
 }
 
@@ -432,9 +415,6 @@ func (s *Store) Append(id string, tail []model.Sample) (Ref, error) {
 	s.dropLocked(sh, old)
 	sh.recs[id] = &rec{ref: ref, blk: sh.cur}
 	s.liveBytes.Add(int64(len(ref.blob)))
-	if s.dcache != nil {
-		s.dcache.forget(id)
-	}
 	return ref, nil
 }
 
@@ -459,9 +439,6 @@ func (s *Store) Remove(id string) error {
 	delete(sh.recs, id)
 	s.dropLocked(sh, r)
 	s.count.Add(-1)
-	if s.dcache != nil {
-		s.dcache.forget(id)
-	}
 	return nil
 }
 
@@ -555,29 +532,19 @@ func (s *Store) Resolve(id string) (Ref, bool) {
 	return Ref{}, false
 }
 
-// Get decodes the resident trajectory with the given ID. Decodes are served
-// from a bounded LRU, so repeated lookups of the same record return the
-// same backing array (pointer-stable for the engine's identity-keyed
-// derived-state caches). Callers must not mutate the result.
+// Get decodes the resident trajectory with the given ID into a freshly
+// allocated array: Resolve plus Ref.Decode. The engine does not call it;
+// it decodes the Refs it holds through its own record cache.
 func (s *Store) Get(id string) (model.Trajectory, bool) {
 	ref, ok := s.Resolve(id)
 	if !ok {
 		return model.Trajectory{}, false
 	}
-	tr, err := s.Cached(ref)
+	tr, err := ref.Decode()
 	if err != nil {
 		return model.Trajectory{}, false
 	}
 	return tr, true
-}
-
-// Cached decodes ref through the decode LRU (falling back to a fresh
-// decode when caching is disabled or the cached generation moved on).
-func (s *Store) Cached(ref Ref) (model.Trajectory, error) {
-	if s.dcache == nil {
-		return ref.Decode()
-	}
-	return s.dcache.get(ref)
 }
 
 // Len returns the number of resident trajectories.
@@ -656,9 +623,6 @@ func (s *Store) Stats() Stats {
 		ArenaBytes: s.arenaBytes.Load(),
 		CoordStep:  s.CoordStep(),
 	}
-	if s.dcache != nil {
-		st.DecodeCache = s.dcache.cap
-	}
 	if s.pers != nil {
 		st.Persistent = true
 		st.WALBytes, st.WALSeq = s.pers.walStats()
@@ -693,69 +657,4 @@ func (s *Store) Close() error {
 	s.snapMu.Lock() // waits out an in-flight snapshot
 	defer s.snapMu.Unlock()
 	return s.pers.close()
-}
-
-// decodeCache is a bounded LRU of decoded trajectories keyed by ID, giving
-// Get pointer-stable results across repeated lookups of the same record
-// generation.
-type decodeCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*decodeEntry
-}
-
-type decodeEntry struct {
-	gen  uint64
-	tr   model.Trajectory
-	tick uint64
-}
-
-func newDecodeCache(capacity int) *decodeCache {
-	return &decodeCache{cap: capacity, entries: make(map[string]*decodeEntry)}
-}
-
-var decodeTick atomic.Uint64
-
-func (c *decodeCache) get(ref Ref) (model.Trajectory, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[ref.ID]; ok && e.gen == ref.Gen {
-		e.tick = decodeTick.Add(1)
-		tr := e.tr
-		c.mu.Unlock()
-		return tr, nil
-	}
-	c.mu.Unlock()
-
-	tr, err := ref.Decode()
-	if err != nil {
-		return model.Trajectory{}, err
-	}
-
-	c.mu.Lock()
-	c.entries[ref.ID] = &decodeEntry{gen: ref.Gen, tr: tr, tick: decodeTick.Add(1)}
-	if len(c.entries) > c.cap {
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	return tr, nil
-}
-
-// evictLocked drops the least recently used entry.
-func (c *decodeCache) evictLocked() {
-	var (
-		victim string
-		oldest = ^uint64(0)
-	)
-	for id, e := range c.entries {
-		if e.tick < oldest {
-			oldest, victim = e.tick, id
-		}
-	}
-	delete(c.entries, victim)
-}
-
-func (c *decodeCache) forget(id string) {
-	c.mu.Lock()
-	delete(c.entries, id)
-	c.mu.Unlock()
 }
